@@ -13,7 +13,7 @@ resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import DegenerateKinematicsError, ZeroEnergyError
 from .numeric import REL_TOL, Number, is_exact
@@ -81,6 +81,11 @@ class SigmaRho:
         return velocity(self.energy, self.momentum)
 
 
+#: Drift bound for evolved data: dynamics that pass near a resolution pole
+#: legitimately amplify the drift beyond fresh-data levels.
+_EVOLVED_DRIFT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class ParticleState:
     """One free particle: energy, momentum, stored squared mass, position.
@@ -89,11 +94,9 @@ class ParticleState:
     mode, to 1e-12 relative in float mode). During evolution the stored
     value is carried through collisions unchanged while E and P pick up
     rounding noise, so ``mass_drift`` measures the accumulated error; it
-    is reported, never corrected. States rebuilt internally from
-    light-cone coordinates (which conserve the product exactly) use a
-    loose sanity bound instead of the strict construction tolerance,
-    since dynamics that pass near a resolution pole legitimately amplify
-    the drift beyond fresh-data levels.
+    is reported, never corrected. Evolved data, rebuilt from light-cone
+    coordinates or read back from an event log, goes through the internal
+    constructor ``_evolved`` and its looser bound instead.
     """
 
     E: Number
@@ -101,28 +104,51 @@ class ParticleState:
     mu: Number
     x: Number
     label: int = 0
-    _drift_tol: float = field(default=REL_TOL, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._validate(REL_TOL)
+
+    def _validate(self, drift_tol: float) -> None:
         if self.E == 0:
             raise ZeroEnergyError(
                 f"particle {self.label}: energy must be nonzero"
             )
-        drift = self.E * self.E - self.P * self.P - self.mu
+        drift = self.mass_drift()
         if is_exact(drift):
             if drift != 0:
                 raise ValueError(
                     f"particle {self.label}: mu != E**2 - P**2 (off by {drift})"
                 )
         else:
-            scale = float(
-                self.E * self.E + self.P * self.P + abs(self.mu)
-            )
-            if abs(float(drift)) > self._drift_tol * scale:
+            scale = float(self.E * self.E + self.P * self.P + abs(self.mu))
+            if abs(float(drift)) > drift_tol * scale:
                 raise ValueError(
                     f"particle {self.label}: mu inconsistent with E, P "
                     f"(drift {float(drift):.3e} at scale {scale:.3e})"
                 )
+
+    @classmethod
+    def _unchecked(
+        cls, E: Number, P: Number, mu: Number, x: Number, label: int
+    ) -> "ParticleState":
+        """Build without ``__post_init__``. Results that change only x or
+        the sign of P need no check: E**2 - P**2 - mu stays bit-identical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "E", E)
+        object.__setattr__(p, "P", P)
+        object.__setattr__(p, "mu", mu)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "label", label)
+        return p
+
+    @classmethod
+    def _evolved(
+        cls, E: Number, P: Number, mu: Number, x: Number, label: int
+    ) -> "ParticleState":
+        """Internal constructor for evolved data: the loose drift bound."""
+        p = cls._unchecked(E, P, mu, x, label)
+        p._validate(_EVOLVED_DRIFT_TOL)
+        return p
 
     @property
     def velocity(self) -> Number:
@@ -137,14 +163,16 @@ class ParticleState:
 
     def moved(self, dt: Number) -> "ParticleState":
         """The same particle after free flight for a time dt."""
-        return replace(self, x=self.x + self.velocity * dt)
+        return self._unchecked(
+            self.E, self.P, self.mu, self.x + self.velocity * dt, self.label
+        )
 
     def with_position(self, x: Number) -> "ParticleState":
-        return replace(self, x=x)
+        return self._unchecked(self.E, self.P, self.mu, x, self.label)
 
     def momentum_reversed(self) -> "ParticleState":
         """Time-reversal image: P -> -P, everything else unchanged."""
-        return replace(self, P=-self.P)
+        return self._unchecked(self.E, -self.P, self.mu, self.x, self.label)
 
     @classmethod
     def from_sigma_rho(
@@ -159,10 +187,7 @@ class ParticleState:
         drift bound: this is the internal evolution path."""
         if mu is None:
             mu = sr.mass_squared
-        return cls(
-            E=sr.energy, P=sr.momentum, mu=mu, x=x, label=label,
-            _drift_tol=1e-6,
-        )
+        return cls._evolved(sr.energy, sr.momentum, mu, x, label)
 
 
 def to_sigma_rho(p: ParticleState) -> SigmaRho:

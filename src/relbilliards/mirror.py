@@ -106,12 +106,6 @@ def inverse_map(
     return 2 * params.E_total - params.mu / sigma
 
 
-def map_derivative(sigma: Number, params: MirrorParams) -> Number:
-    """d/dsigma of the reduced map: mu / (2*E_total - sigma)**2."""
-    denom = 2 * params.E_total - sigma
-    return params.mu / (denom * denom)
-
-
 @dataclass(frozen=True)
 class FixedPoints:
     """Fixed points of the reduced map with their stability data.

@@ -18,6 +18,7 @@ import tempfile
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .config import _ARITHMETICS, _parse_number
 from .errors import ConfigError
 from .kinematics import ParticleState
 from .mirror import MirrorState
@@ -44,12 +45,6 @@ def _format_number(value: Number) -> str:
     if isinstance(value, Fraction):
         return str(value)
     return repr(float(value))
-
-
-def _parse_number(text: str, arithmetic: str) -> Number:
-    if arithmetic == "rational":
-        return Fraction(text)
-    return float(text)
 
 
 def _format_bool(value: bool) -> str:
@@ -121,6 +116,8 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
     arithmetic = "float"
     if "arithmetic=" in lines[0]:
         arithmetic = lines[0].split("arithmetic=")[1].strip()
+    if arithmetic not in _ARITHMETICS:
+        raise ConfigError(f"line 1: unknown arithmetic {arithmetic!r}")
     reader = csv.reader(lines[1:])
     header = next(reader)
     if header != _EVENT_FIELDS:
@@ -128,15 +125,22 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
 
     events = []
     for row in reader:
+        where = f"line {reader.line_num + 1}"
+        if len(row) != len(_EVENT_FIELDS):
+            raise ConfigError(
+                f"{where}: {len(row)} fields, expected {len(_EVENT_FIELDS)}"
+            )
         rec = dict(zip(_EVENT_FIELDS, row))
-        num = lambda key: _parse_number(rec[key], arithmetic)  # noqa: E731
+
+        def num(key):
+            return _parse_number(rec[key], arithmetic, f"{where}, {key}")
+
         i, j = int(rec["i"]), int(rec["j"])
         x = num("x")
 
         def state(e_key, p_key, mu_key, label):
-            # evolved data: reuse the loose internal drift bound
-            return ParticleState(
-                num(e_key), num(p_key), num(mu_key), x, label, _drift_tol=1e-6
+            return ParticleState._evolved(
+                num(e_key), num(p_key), num(mu_key), x, label
             )
 
         pre = (

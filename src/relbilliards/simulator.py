@@ -8,16 +8,16 @@ the same time but different places are legal and resolved left to right
 the same time *and* place are a genuine discontinuity of the dynamics and
 raise TripleCollisionError.
 
-Backward evolution reuses the forward scheduler through time reversal:
-negate every momentum and the clock, step forward, and map back. Because
-the collision law is symmetric under that reversal, a forward run followed
-by a backward run of the same length retraces itself (exactly in rational
-mode).
+The scheduler only runs forward, one scan per event. ``_forward_frame``
+maps a backward call into the time-reversed frame (every momentum and the
+clock negated) and its result back. The collision law is symmetric under
+that reversal, so a forward run followed by a backward run of the same
+length retraces itself (exactly in rational mode).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 from .collisions import resolve_collision
@@ -81,30 +81,33 @@ class CollisionEvent:
     sign_flips: tuple[bool, bool]
 
 
-def _time_reversed_state(state: BilliardState) -> BilliardState:
-    return BilliardState(
-        tuple(p.momentum_reversed() for p in state.particles), -state.t
-    )
+def _time_reversed(value):
+    """Time-reversal image of a state, an event, particles or a time."""
+    if isinstance(value, BilliardState):
+        return BilliardState(_time_reversed(value.particles), -value.t)
+    if isinstance(value, CollisionEvent):
+        pre, post = _time_reversed(value.pre), _time_reversed(value.post)
+        return replace(value, t=-value.t, pre=pre, post=post)
+    if isinstance(value, tuple):
+        return tuple(p.momentum_reversed() for p in value)
+    return -value
 
 
-def _time_reversed_event(event: CollisionEvent) -> CollisionEvent:
-    return CollisionEvent(
-        t=-event.t,
-        pair=event.pair,
-        x=event.x,
-        pre=tuple(p.momentum_reversed() for p in event.pre),
-        post=tuple(p.momentum_reversed() for p in event.post),
-        tachyonic=event.tachyonic,
-        sign_flips=event.sign_flips,
-    )
+def _forward_frame(state: BilliardState, direction: Direction):
+    """``state`` in the frame where ``direction`` runs forward, and the map
+    that takes results back out of it (reversal is its own inverse)."""
+    if direction == "forward":
+        return state, lambda value: value
+    if direction != "backward":
+        raise ValueError(f"unknown direction {direction!r}")
+    return _time_reversed(state), _time_reversed
 
 
 def _forward_candidates(state: BilliardState) -> list[tuple[int, Number]]:
     """All (left index, flight time) pairs with a genuine future intersection."""
     out = []
     ps = state.particles
-    for idx in range(len(ps) - 1):
-        a, b = ps[idx], ps[idx + 1]
+    for idx, (a, b) in enumerate(zip(ps, ps[1:])):
         w = a.velocity - b.velocity  # closing speed
         if w <= 0:
             continue
@@ -126,14 +129,7 @@ def next_collisions(
     Simultaneous events at distinct positions are all returned (they share
     the snapped event time); an empty list means no collision lies ahead.
     """
-    if direction == "backward":
-        rev = _time_reversed_state(state)
-        return [
-            (pair, -t) for pair, t in next_collisions(rev, "forward", rel_tol)
-        ]
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
-
+    state, back = _forward_frame(state, direction)
     cands = _forward_candidates(state)
     if not cands:
         return []
@@ -141,7 +137,7 @@ def next_collisions(
     t_event = state.t + dt_min
     scale = max(1.0, abs(float(t_event)))
     return [
-        ((idx, idx + 1), t_event)
+        ((idx, idx + 1), back(t_event))
         for idx, dt in cands
         if near_zero(dt - dt_min, scale, rel_tol)
     ]
@@ -166,39 +162,22 @@ def _check_disjoint(selected: list[Pair]) -> None:
         used.update((i, j))
 
 
-def step(
+def _advance(
     state: BilliardState,
-    direction: Direction = "forward",
-    rel_tol: float = REL_TOL,
+    t: Number,
+    found: list[tuple[Pair, Number]],
+    rel_tol: float,
 ) -> tuple[BilliardState, list[CollisionEvent]]:
-    """Advance to the next event time and resolve every collision there."""
-    if direction == "backward":
-        rev_state, rev_events = step(
-            _time_reversed_state(state), "forward", rel_tol
-        )
-        return (
-            _time_reversed_state(rev_state),
-            [_time_reversed_event(e) for e in rev_events],
-        )
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
-
-    found = next_collisions(state, "forward", rel_tol)
-    if not found:
-        raise NoEventError("no next event")
-    t_event = found[0][1]
-    dt = t_event - state.t
-
+    """Move every particle freely to ``t`` and resolve the collisions
+    ``found`` there (the forward result of ``next_collisions``, or none)."""
+    dt = t - state.t
     advanced = [p.moved(dt) for p in state.particles]
     selected = [pair for pair, _ in found]
     _check_disjoint(selected)
-    event_x = {
-        i: (advanced[i].x + advanced[j].x) / 2 for i, j in selected
-    }
 
     events = []
     for i, j in selected:  # left-to-right; pairs are disjoint
-        x_e = event_x[i]
+        x_e = (advanced[i].x + advanced[j].x) / 2
         pre_i = advanced[i].with_position(x_e)
         pre_j = advanced[j].with_position(x_e)
         outcome = resolve_collision(
@@ -221,7 +200,7 @@ def step(
         advanced[j] = post_j
         events.append(
             CollisionEvent(
-                t=t_event,
+                t=t,
                 pair=(i, j),
                 x=x_e,
                 pre=(pre_i, pre_j),
@@ -230,12 +209,21 @@ def step(
                 sign_flips=(outcome.sign_flip_i, outcome.sign_flip_j),
             )
         )
-    return BilliardState(tuple(advanced), t_event), events
+    return BilliardState(tuple(advanced), t), events
 
 
-def _advance_to(state: BilliardState, t: Number) -> BilliardState:
-    dt = t - state.t
-    return BilliardState(tuple(p.moved(dt) for p in state.particles), t)
+def step(
+    state: BilliardState,
+    direction: Direction = "forward",
+    rel_tol: float = REL_TOL,
+) -> tuple[BilliardState, list[CollisionEvent]]:
+    """Advance to the next event time and resolve every collision there."""
+    state, back = _forward_frame(state, direction)
+    found = next_collisions(state, "forward", rel_tol)
+    if not found:
+        raise NoEventError("no next event")
+    state, events = _advance(state, found[0][1], found, rel_tol)
+    return back(state), [back(e) for e in events]
 
 
 def simulate(
@@ -256,40 +244,26 @@ def simulate(
     configuration). Identical inputs produce identical logs. Scheduler
     errors are re-raised with the index of the offending event attached.
     """
-    if direction == "backward":
-        if t_limit is not None and t_limit > state.t:
-            raise ValueError("backward t_limit must not exceed the start time")
-        rev_limit = None if t_limit is None else -t_limit
-        rev_state, rev_events = simulate(
-            _time_reversed_state(state),
-            "forward",
-            max_events=max_events,
-            t_limit=rev_limit,
-            rel_tol=rel_tol,
-        )
-        return (
-            _time_reversed_state(rev_state),
-            [_time_reversed_event(e) for e in rev_events],
-        )
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
+    state, back = _forward_frame(state, direction)
     if max_events is None and t_limit is None:
         raise ValueError("need max_events and/or t_limit to bound the run")
-    if t_limit is not None and t_limit < state.t:
-        raise ValueError("forward t_limit must not precede the start time")
+    if t_limit is not None:
+        t_limit = back(t_limit)
+        if t_limit < state.t:
+            bound = "precede" if direction == "forward" else "exceed"
+            raise ValueError(
+                f"{direction} t_limit must not {bound} the start time"
+            )
 
     log: list[CollisionEvent] = []
     while max_events is None or len(log) < max_events:
         found = next_collisions(state, "forward", rel_tol)
-        if not found:
+        if not found or (t_limit is not None and found[0][1] >= t_limit):
             if t_limit is not None:
-                state = _advance_to(state, t_limit)
-            break
-        if t_limit is not None and found[0][1] >= t_limit:
-            state = _advance_to(state, t_limit)
+                state, _ = _advance(state, t_limit, [], rel_tol)
             break
         try:
-            state, events = step(state, "forward", rel_tol)
+            state, events = _advance(state, found[0][1], found, rel_tol)
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         except ValueError as exc:
@@ -297,4 +271,4 @@ def simulate(
                 f"{exc} (at event index {len(log)})"
             ) from exc
         log.extend(events)
-    return state, log
+    return back(state), [back(e) for e in log]

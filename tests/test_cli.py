@@ -396,6 +396,42 @@ class TestRenderCommand:
         svg = (tmp_path / "spacetime.svg").read_text()
         assert svg.count("<polyline") == 4
 
+    @pytest.mark.parametrize(
+        "arithmetic, damage, line",
+        [
+            # a zero denominator in the first row's event time
+            (
+                "rational",
+                lambda rows: rows[:2]
+                + ["0,1/0," + rows[2].split(",", 2)[2]]
+                + rows[3:],
+                3,
+            ),
+            # a row with only 4 fields
+            ("float", lambda rows: rows + ["3,1.0,0,1"], 6),
+            # an arithmetic tag the reader does not know
+            (
+                "float",
+                lambda rows: [rows[0].replace("float", "decimal")] + rows[1:],
+                1,
+            ),
+        ],
+        ids=["zero-denominator", "short-row", "decimal-tag"],
+    )
+    def test_malformed_log_is_validation_error(
+        self, tmp_path, capsys, arithmetic, damage, line
+    ):
+        config = MIRROR_CYCLE.replace(
+            "events = 30", f"events = 30\narithmetic = {arithmetic}"
+        )
+        rows = events_to_csv(self._events(config, 3), arithmetic).splitlines()
+        log = tmp_path / "events.csv"
+        log.write_text("\n".join(damage(rows)) + "\n")
+        rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"line {line}" in capsys.readouterr().err
+        assert not (tmp_path / "spacetime.svg").exists()
+
     def test_deterministic_bytes(self):
         log = self._events()
         assert render_spacetime(log) == render_spacetime(log)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from conftest import any_particle, bradyon_states, finite_floats, nonzero_floats
+from relbilliards.serialize import events_from_csv, events_to_csv
 
 
 class TestVelocity:
@@ -163,3 +164,26 @@ class TestParticleState:
     def test_moved(self):
         p = rb.ParticleState(2.0, 1.0, 3.0, 1.0)
         assert p.moved(2.0).x == pytest.approx(2.0)
+
+    def test_evolved_data_keeps_loose_drift_bound(self):
+        # sigma * rho misses the stored mu by a relative ~3e-10: within the
+        # bound for evolved data, beyond the strict bound for fresh data
+        sr = rb.SigmaRho(2.0, 0.5 * (1 + 1e-9))
+        p = rb.ParticleState.from_sigma_rho(sr, 0.0, 0, mu=1.0)
+        scale = p.E ** 2 + p.P ** 2 + abs(p.mu)
+        assert 1e-12 < abs(p.mass_drift()) / scale < 1e-6
+        for q in (p.moved(0.5), p.with_position(3.0), p.momentum_reversed()):
+            assert q.mass_drift() == p.mass_drift()
+        other = rb.ParticleState.from_sigma_rho(sr, 0.0, 1, mu=1.0)
+        event = rb.CollisionEvent(
+            t=0.0,
+            pair=(0, 1),
+            x=0.0,
+            pre=(p, other),
+            post=(p, other),
+            tachyonic=False,
+            sign_flips=(False, False),
+        )
+        assert events_from_csv(events_to_csv([event])) == ([event], "float")
+        with pytest.raises(ValueError):
+            rb.ParticleState(p.E, p.P, p.mu, p.x)

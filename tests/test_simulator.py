@@ -178,6 +178,26 @@ class TestSimulate:
             rb.simulate(s, max_events=1)
 
 
+class TestStepMatchesSimulate:
+    @pytest.mark.parametrize("num", [float, Fraction])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_n_steps_equal_simulate(self, num, direction):
+        ps = (
+            rb.ParticleState(num(2), num(1), num(3), num(-2), 0),
+            rb.ParticleState(num(-1), num(1), num(0), num(0), 1),
+            rb.ParticleState(num(3) / 2, num(-1), num(5) / 4, num(1), 2),
+            rb.ParticleState(num(1), num(1) / 2, num(3) / 4, num(3), 3),
+        )
+        s0 = rb.BilliardState(ps, num(0))
+        n = 8
+        state, events = s0, []
+        for _ in range(n):
+            state, batch = rb.step(state, direction)
+            events.extend(batch)
+        assert len(events) == n  # one collision per event time
+        assert rb.simulate(s0, direction, max_events=n) == (state, events)
+
+
 class TestReversibility:
     def test_mirror_exact_rational(self):
         params, m0 = rb.mirror_initial(
