@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from . import mirror as mr
@@ -24,7 +24,6 @@ from .errors import (
     SimulationError,
     TripleCollisionError,
 )
-from .numeric import rel_diff
 from .render import render_spacetime
 from .scale import GRAVITY_M_PER_KG, estimate_tachyonic_scale
 from .serialize import (
@@ -33,7 +32,7 @@ from .serialize import (
     mirror_trajectory_to_csv,
     write_atomic,
 )
-from .simulator import BilliardState, simulate
+from .simulator import simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,32 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _mirror_columns(
-    config: ScenarioConfig, events, state0: BilliardState
-) -> Optional[list[dict]]:
-    """Reduced coordinates carried along the event log for the mirror-mode
-    CSV columns: sigma1 and E2 track the current segment, x1 and k update
-    at each collision of the leftmost pair (k stays constant up to
-    rounding, which makes its drift visible in the output)."""
-    if config.mode != "mirror":
-        return None
-    _, mstate = config.mirror
-    sigma1, e2, x1, k = mstate.sigma1, mstate.E2, mstate.x1, config.mirror[0].k
-    rows = []
-    particles = list(state0.particles)
-    for event in events:
-        i, j = event.pair
-        particles[i], particles[j] = event.post
-        p0, p1 = particles[0], particles[1]
-        sigma1 = p0.E + p0.P
-        e2 = p1.E
-        if event.pair == (0, 1):
-            x1 = event.x
-            k = x1 * e2 / sigma1
-        rows.append({"sigma1": sigma1, "E2": e2, "x1": x1, "k": k})
-    return rows
-
-
 def _run_simulate(args) -> int:
     config = _load_config(args)
     state0 = initial_state(config)
@@ -89,7 +62,9 @@ def _run_simulate(args) -> int:
         max_events=config.max_events,
         t_limit=config.t_limit,
     )
-    rows = _mirror_columns(config, events, state0)
+    rows = None
+    if config.mode == "mirror":
+        rows = mr.mirror_columns(*config.mirror, state0, events)
     text = events_to_csv(events, config.arithmetic, rows)
     out = os.path.join(args.out, "events.csv")
     write_atomic(out, text)
@@ -119,87 +94,14 @@ def _run_mirror(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class CrossCheckReport:
-    n_collisions: int
-    max_dev: dict[str, float]
-    growth_rate: Optional[float]
-    passed: bool
-    tol: float
-
-    def render(self) -> str:
-        lines = [
-            f"cross-check over {self.n_collisions} collisions "
-            f"(tolerance {self.tol:g})",
-        ]
-        for key in ("sigma1", "E2", "x1", "t"):
-            lines.append(
-                f"  max relative deviation {key:6s} = {self.max_dev[key]:.3e}"
-            )
-        if self.growth_rate is not None:
-            lines.append(
-                f"  deviation growth rate ~ {self.growth_rate:.3f} per step"
-            )
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines) + "\n"
-
-
-def cross_check(
-    params: mr.MirrorParams,
-    state0: mr.MirrorState,
-    n_collisions: int,
-    tol: float = 1e-9,
-) -> CrossCheckReport:
-    """Run the four-particle simulation against the reduced map and compare
-    (sigma1, E2, x1, t) at every collision of the leftmost pair."""
-    oracle = mr.reduced_trajectory(params, state0, n_collisions)[1:]
-    billiard = mr.billiard_from_mirror(params, state0)
-    # each reduced collision costs three events: the inner-pair swap plus
-    # the two simultaneous outer collisions
-    _, events = simulate(billiard, "forward", max_events=3 * n_collisions)
-    simulated = mr.reduced_states_from_events(events, state0)
-    if len(simulated) < n_collisions:
-        raise SimulationError(
-            f"simulation produced {len(simulated)} collisions, "
-            f"expected {n_collisions}"
-        )
-
-    devs: dict[str, list[float]] = {"sigma1": [], "E2": [], "x1": [], "t": []}
-    for ref, got in zip(oracle, simulated):
-        devs["sigma1"].append(rel_diff(ref.sigma1, got.sigma1))
-        devs["E2"].append(rel_diff(ref.E2, got.E2))
-        devs["x1"].append(rel_diff(ref.x1, got.x1))
-        devs["t"].append(rel_diff(ref.t, got.t))
-    max_dev = {key: max(vals, default=0.0) for key, vals in devs.items()}
-
-    growth = None
-    seq = [d for d in devs["sigma1"]]
-    ratios = [
-        b / a for a, b in zip(seq, seq[1:]) if a > 1e-14 and b > 1e-14
-    ]
-    if len(ratios) >= 3:
-        ratios.sort()
-        growth = ratios[len(ratios) // 2]
-
-    passed = all(v <= tol for v in max_dev.values())
-    return CrossCheckReport(
-        n_collisions=n_collisions,
-        max_dev=max_dev,
-        growth_rate=growth,
-        passed=passed,
-        tol=tol,
-    )
-
-
 def _run_cross_check(args) -> int:
     config = _load_config(args)
     if config.mode != "mirror":
         raise ConfigError("cross-check needs a mirror-mode config")
-    n = args.events if args.events is not None else config.max_events
-    if n is None:
+    if config.max_events is None:
         raise ConfigError("cross-check needs an event count")
     params, state0 = config.mirror
-    report = cross_check(params, state0, n, tol=args.tol)
+    report = mr.cross_check(params, state0, config.max_events, tol=args.tol)
     text = report.render()
     if args.out:
         path = os.path.join(args.out, "report.txt")
@@ -241,31 +143,6 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
-def tachyonic_census(
-    params: mr.MirrorParams, sigma1_0: float, steps: int
-) -> tuple[int, bool]:
-    """Count tachyonic collisions over the orbit window [-steps, steps].
-
-    Returns (count, consecutive) where ``consecutive`` reports whether the
-    hits form one run of adjacent collision indices.
-    """
-    hits = []
-    sigma = sigma1_0
-    for n in range(steps + 1):
-        if mr.tachyonic_predicate(sigma, params):
-            hits.append(n)
-        if n < steps:
-            sigma = mr.reduced_map(sigma, params)
-    sigma = sigma1_0
-    for n in range(1, steps + 1):
-        sigma = mr.inverse_map(sigma, params)
-        if mr.tachyonic_predicate(sigma, params):
-            hits.append(-n)
-    hits.sort()
-    consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
-    return len(hits), consecutive
-
-
 def _run_tachyon_scan(args) -> int:
     mus = _parse_grid(args.mu, "mu")
     energies = _parse_grid(args.e_total, "e-total")
@@ -277,15 +154,10 @@ def _run_tachyon_scan(args) -> int:
             for sigma1_0 in sigmas:
                 params = mr.MirrorParams(mu, e_total)
                 label = mr.classify_tachyonic(params, sigma1_0)
-                count, consecutive = tachyonic_census(
+                count, consecutive = mr.tachyonic_census(
                     params, sigma1_0, args.steps
                 )
-                if label is mr.TachyonicCount.INFINITELY_MANY:
-                    agrees = count > 2
-                elif label is mr.TachyonicCount.EXACTLY_TWO_CONSECUTIVE:
-                    agrees = count == 2 and consecutive
-                else:
-                    agrees = count == 0
+                agrees = mr.census_agrees(label, count, consecutive)
                 disagreements += 0 if agrees else 1
                 lines.append(
                     f"{mu!r},{e_total!r},{sigma1_0!r},{params.delta!r},"
@@ -329,39 +201,54 @@ def _load_config(args) -> ScenarioConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    config = parse_config(text, arithmetic=getattr(args, "arithmetic", None))
-    if getattr(args, "events", None) is not None:
+    config = parse_config(text, arithmetic=args.arithmetic)
+    if args.events is not None:
         config = replace(config, max_events=args.events)
     return config
+
+
+def _count(text: str) -> int:
+    """argparse type for event and step counts: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a nonnegative integer, got {text!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relbilliards")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a scenario, write events.csv")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--arithmetic", choices=("float", "rational"))
-    sim.add_argument("--events", type=int)
+    # options of the subcommands that read a scenario config
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True)
+    scenario.add_argument("--arithmetic", choices=("float", "rational"))
+    scenario.add_argument("--events", type=_count)
+
+    sim = sub.add_parser(
+        "simulate", parents=[scenario], help="run a scenario, write events.csv"
+    )
     sim.add_argument("--out", default=".")
     sim.set_defaults(func=_run_simulate)
 
     mirror_cmd = sub.add_parser(
-        "mirror", help="run the reduced collision map, write mirror.csv"
+        "mirror",
+        parents=[scenario],
+        help="run the reduced collision map, write mirror.csv",
     )
-    mirror_cmd.add_argument("--config", required=True)
-    mirror_cmd.add_argument("--arithmetic", choices=("float", "rational"))
-    mirror_cmd.add_argument("--events", type=int)
     mirror_cmd.add_argument("--out", default=".")
     mirror_cmd.set_defaults(func=_run_mirror)
 
     check = sub.add_parser(
         "cross-check",
+        parents=[scenario],
         help="compare the full simulation against the reduced map",
     )
-    check.add_argument("--config", required=True)
-    check.add_argument("--arithmetic", choices=("float", "rational"))
-    check.add_argument("--events", type=int)
     check.add_argument("--tol", type=float, default=1e-9)
     check.add_argument("--out")
     check.set_defaults(func=_run_cross_check)
@@ -373,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--e-total", dest="e_total", type=float, required=True)
     per.add_argument("--sigma1", type=float, required=True)
     per.add_argument("--x1", type=float, required=True)
-    per.add_argument("--b-max", dest="b_max", type=int, default=10_000)
+    per.add_argument("--b-max", dest="b_max", type=_count, default=10_000)
     per.add_argument("--tol", type=float, default=1e-9)
     per.set_defaults(func=_run_period)
 
@@ -384,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--mu", required=True, help="comma-separated values")
     scan.add_argument("--e-total", dest="e_total", required=True)
     scan.add_argument("--sigma1", required=True)
-    scan.add_argument("--steps", type=int, default=1000)
+    scan.add_argument("--steps", type=_count, default=1000)
     scan.add_argument("--out")
     scan.set_defaults(func=_run_tachyon_scan)
 
@@ -416,10 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _DEGENERATE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ConfigError, ValueError, BilliardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (BilliardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

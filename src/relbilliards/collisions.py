@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 from .errors import DegenerateCollisionError, NoCollisionError
 from .kinematics import SigmaRho
-from .numeric import REL_TOL, Number, near_zero
+from .numeric import Number, near_zero
 
 
-def collision_condition(
-    i: SigmaRho, j: SigmaRho, rel_tol: float = REL_TOL
-) -> bool:
+def collision_condition(i: SigmaRho, j: SigmaRho) -> bool:
     """True iff the two particles have different velocities.
 
     Evaluated as sigma_i*rho_j - sigma_j*rho_i != 0, which avoids the
@@ -33,7 +31,7 @@ def collision_condition(
     """
     a = i.sigma * j.rho
     b = j.sigma * i.rho
-    return not near_zero(a - b, abs(a) + abs(b), rel_tol)
+    return not near_zero(a - b, abs(a) + abs(b))
 
 
 def rest_mass_squared(i: SigmaRho, j: SigmaRho) -> Number:
@@ -69,9 +67,7 @@ def _sign_flip(before: SigmaRho, after: SigmaRho) -> bool:
     return before.energy * after.energy < 0
 
 
-def resolve_collision(
-    i: SigmaRho, j: SigmaRho, rel_tol: float = REL_TOL
-) -> CollisionOutcome:
+def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
     """Resolve an elastic collision, always returning the non-identity solution.
 
     Raises NoCollisionError when the velocities are equal (the scheduler
@@ -83,7 +79,7 @@ def resolve_collision(
     sigma_i' = sigma_j etc., which is what the general formulas reduce to
     in that case but stays exact (and well defined) without divisions.
     """
-    if not collision_condition(i, j, rel_tol):
+    if not collision_condition(i, j):
         raise NoCollisionError(
             "no collision: particles have equal velocities"
         )
@@ -97,8 +93,8 @@ def resolve_collision(
         after_i = SigmaRho(j.sigma, j.rho)
         after_j = SigmaRho(i.sigma, i.rho)
     else:
-        if near_zero(s, abs(i.sigma) + abs(j.sigma), rel_tol) or near_zero(
-            r, abs(i.rho) + abs(j.rho), rel_tol
+        if near_zero(s, abs(i.sigma) + abs(j.sigma)) or near_zero(
+            r, abs(i.rho) + abs(j.rho)
         ):
             raise DegenerateCollisionError(
                 "degenerate collision (s*r = 0): zero rest mass pair"

@@ -167,8 +167,7 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
         _get(ms, "sigma1", "mirror"), arithmetic, "mirror.sigma1"
     )
     x1 = _parse_number(_get(ms, "x1", "mirror"), arithmetic, "mirror.x1")
-    t0 = Fraction(0) if arithmetic == "rational" else 0.0
-    pair = mirror_initial(mu, e_total, sigma1, x1, t0=t0)
+    pair = mirror_initial(mu, e_total, sigma1, x1, t0=_zero(arithmetic))
     return ScenarioConfig(
         mode=mode,
         arithmetic=arithmetic,
@@ -230,10 +229,10 @@ def _parse_particles(
 def initial_state(config: ScenarioConfig) -> BilliardState:
     """The billiard state a scenario starts from."""
     if config.mode == "general":
-        return BilliardState(config.particles, t=_zero_like(config))
+        return BilliardState(config.particles, t=_zero(config.arithmetic))
     params, state = config.mirror
     return billiard_from_mirror(params, state)
 
 
-def _zero_like(config: ScenarioConfig) -> Number:
-    return Fraction(0) if config.arithmetic == "rational" else 0.0
+def _zero(arithmetic: str) -> Number:
+    return Fraction(0) if arithmetic == "rational" else 0.0

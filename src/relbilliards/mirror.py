@@ -21,19 +21,24 @@ the parabolic boundary case (delta = 0) and elliptic rotation with
 bounded, possibly periodic orbits (delta < 0). The combination
 k = x1 * E2 / sigma1 is invariant under the collision map and sets the
 time scale of periodic orbits.
+
+Checks against the full simulation: ``cross_check`` compares it with the
+reduced map, ``mirror_columns`` reads the reduced coordinates off its
+event log, and ``tachyonic_census`` counts tachyonic collisions along an
+orbit for ``census_agrees`` to set against ``classify_tachyonic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
-from .errors import ConfigError, DiscriminantError, PoleError
+from .errors import ConfigError, DiscriminantError, PoleError, SimulationError
 from .kinematics import ParticleState, massless
-from .numeric import REL_TOL, Number, near_zero
-from .simulator import BilliardState, CollisionEvent
+from .numeric import Number, near_zero, rel_diff
+from .simulator import BilliardState, CollisionEvent, simulate
 
 
 @dataclass(frozen=True)
@@ -77,25 +82,21 @@ class TachyonicCount(Enum):
     NONE = "none"
 
 
-def _check_pole(sigma: Number, params: MirrorParams, rel_tol: float) -> Number:
+def _check_pole(sigma: Number, params: MirrorParams) -> Number:
     denom = 2 * params.E_total - sigma
-    if near_zero(denom, abs(2 * params.E_total) + abs(sigma), rel_tol):
+    if near_zero(denom, abs(2 * params.E_total) + abs(sigma)):
         raise PoleError(
             f"pole of reduced map: sigma = {sigma!r} at 2*E_total"
         )
     return denom
 
 
-def reduced_map(
-    sigma: Number, params: MirrorParams, rel_tol: float = REL_TOL
-) -> Number:
+def reduced_map(sigma: Number, params: MirrorParams) -> Number:
     """One collision of particle 1: sigma -> mu / (2*E_total - sigma)."""
-    return params.mu / _check_pole(sigma, params, rel_tol)
+    return params.mu / _check_pole(sigma, params)
 
 
-def inverse_map(
-    sigma: Number, params: MirrorParams, rel_tol: float = REL_TOL
-) -> Number:
+def inverse_map(sigma: Number, params: MirrorParams) -> Number:
     """Algebraic inverse 2*E_total - mu/sigma (one collision backward).
 
     Only sigma exactly zero is a pole; a tiny nonzero sigma has a huge but
@@ -169,12 +170,10 @@ def _conjugacy_pair(params: MirrorParams) -> tuple[complex, complex]:
     return complex(fp.attracting), complex(fp.repelling)
 
 
-def e2_update(
-    E2: Number, sigma1: Number, params: MirrorParams, rel_tol: float = REL_TOL
-) -> Number:
+def e2_update(E2: Number, sigma1: Number, params: MirrorParams) -> Number:
     """Inner-particle energy across one collision:
     E2 -> E2 * sigma1 / (2*E_total - sigma1)."""
-    return E2 * sigma1 / _check_pole(sigma1, params, rel_tol)
+    return E2 * sigma1 / _check_pole(sigma1, params)
 
 
 def x1_update(x1: Number, sigma1: Number, params: MirrorParams) -> Number:
@@ -245,7 +244,6 @@ def reduced_trajectory(
     initial: MirrorState,
     n_forward: int,
     n_backward: int = 0,
-    rel_tol: float = REL_TOL,
 ) -> list[MirrorState]:
     """Iterate the collision map n_backward steps back and n_forward steps
     ahead, accumulating collision times via tau = -x1 - x1_next.
@@ -265,8 +263,8 @@ def reduced_trajectory(
     state = initial
     for _ in range(n_forward):
         try:
-            sigma_next = reduced_map(state.sigma1, params, rel_tol)
-            e2_next = e2_update(state.E2, state.sigma1, params, rel_tol)
+            sigma_next = reduced_map(state.sigma1, params)
+            e2_next = e2_update(state.E2, state.sigma1, params)
         except PoleError as exc:
             raise PoleError(f"{exc} (at collision index {state.n})") from exc
         x1_next = x1_update(state.x1, state.sigma1, params)
@@ -284,7 +282,7 @@ def reduced_trajectory(
     state = initial
     for _ in range(n_backward):
         try:
-            sigma_prev = inverse_map(state.sigma1, params, rel_tol)
+            sigma_prev = inverse_map(state.sigma1, params)
         except PoleError as exc:
             raise PoleError(f"{exc} (at collision index {state.n})") from exc
         if sigma_prev == 0:
@@ -453,6 +451,43 @@ def classify_tachyonic(
     return TachyonicCount.NONE
 
 
+def tachyonic_census(
+    params: MirrorParams, sigma1_0: Number, steps: int
+) -> tuple[int, bool]:
+    """Count tachyonic collisions over the orbit window [-steps, steps].
+
+    Returns (count, consecutive) where ``consecutive`` reports whether the
+    hits form one run of adjacent collision indices.
+    """
+    hits = []
+    sigma = sigma1_0
+    for n in range(steps + 1):
+        if tachyonic_predicate(sigma, params):
+            hits.append(n)
+        if n < steps:
+            sigma = reduced_map(sigma, params)
+    sigma = sigma1_0
+    for n in range(1, steps + 1):
+        sigma = inverse_map(sigma, params)
+        if tachyonic_predicate(sigma, params):
+            hits.append(-n)
+    hits.sort()
+    consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
+    return len(hits), consecutive
+
+
+def census_agrees(
+    label: TachyonicCount, count: int, consecutive: bool
+) -> bool:
+    """Whether a finite census is what the classification predicts: more
+    than two hits, exactly two consecutive ones, or none."""
+    if label is TachyonicCount.INFINITELY_MANY:
+        return count > 2
+    if label is TachyonicCount.EXACTLY_TWO_CONSECUTIVE:
+        return count == 2 and consecutive
+    return count == 0
+
+
 @dataclass(frozen=True)
 class LimitVelocities:
     """Asymptotic velocities of particle 1 in the far past and future."""
@@ -555,29 +590,120 @@ def billiard_from_mirror(
     )
 
 
+def _reduced_walk(
+    events: list[CollisionEvent], start: MirrorState
+) -> Iterator[MirrorState]:
+    """The reduced state in force after each event of a four-particle log.
+
+    Each collision of the leftmost pair (0, 1) starts the next collision
+    state: post-collision sigma of particle 0, post-collision energy of
+    particle 1, and the event's position and time. Every other event
+    leaves the state as it was, ``start`` until the first such collision.
+    """
+    state = start
+    for event in events:
+        if event.pair == (0, 1):
+            post0, post1 = event.post
+            sigma1 = post0.E + post0.P
+            state = MirrorState(state.n + 1, sigma1, post1.E, event.x, event.t)
+        yield state
+
+
 def reduced_states_from_events(
     events: list[CollisionEvent], start: MirrorState
 ) -> list[MirrorState]:
-    """Extract the reduced-coordinate sequence from a four-particle event log.
-
-    Each collision of the leftmost pair (0, 1) yields the next collision
-    state: post-collision sigma of particle 0, post-collision energy of
-    particle 1, and the event's position and time.
-    """
+    """Extract the reduced-coordinate sequence from a four-particle event
+    log: one state per collision of the leftmost pair."""
     out = []
-    n = start.n
-    for event in events:
-        if event.pair != (0, 1):
-            continue
-        n += 1
-        post0, post1 = event.post
-        out.append(
-            MirrorState(
-                n=n,
-                sigma1=post0.E + post0.P,
-                E2=post1.E,
-                x1=event.x,
-                t=event.t,
-            )
-        )
+    last = start
+    for state in _reduced_walk(events, start):
+        if state is not last:
+            out.append(state)
+            last = state
     return out
+
+
+def mirror_columns(
+    params: MirrorParams,
+    start: MirrorState,
+    billiard: BilliardState,
+    events: list[CollisionEvent],
+) -> list[dict[str, Number]]:
+    """The mirror-mode columns of events.csv: sigma1, E2, x1 and k in force
+    after each event of the log simulated from ``billiard``. Until the
+    first collision of the leftmost pair, sigma1 and E2 are the billiard's
+    own; then all four follow the last reduced state, with k recomputed
+    from it so that its rounding drift shows."""
+    p0, p1 = billiard.particles[:2]
+    first = replace(start, sigma1=p0.E + p0.P, E2=p1.E)
+    rows = []
+    for state in _reduced_walk(events, first):
+        k = params.k
+        if state is not first:
+            k = motion_constant(state.x1, state.E2, state.sigma1)
+        rows.append(dict(sigma1=state.sigma1, E2=state.E2, x1=state.x1, k=k))
+    return rows
+
+
+@dataclass
+class CrossCheckReport:
+    """Largest relative deviation of the simulated reduced coordinates from
+    the closed-form ones, and how fast the deviation grows per step."""
+
+    n_collisions: int
+    max_dev: dict[str, float]
+    growth_rate: Optional[float]
+    passed: bool
+    tol: float
+
+    def render(self) -> str:
+        lines = [
+            f"cross-check over {self.n_collisions} collisions "
+            f"(tolerance {self.tol:g})",
+        ]
+        for key in ("sigma1", "E2", "x1", "t"):
+            lines.append(
+                f"  max relative deviation {key:6s} = {self.max_dev[key]:.3e}"
+            )
+        if self.growth_rate is not None:
+            lines.append(
+                f"  deviation growth rate ~ {self.growth_rate:.3f} per step"
+            )
+        lines.append("PASS" if self.passed else "FAIL")
+        return "\n".join(lines) + "\n"
+
+
+def cross_check(
+    params: MirrorParams,
+    state0: MirrorState,
+    n_collisions: int,
+    tol: float = 1e-9,
+) -> CrossCheckReport:
+    """Run the four-particle simulation against the reduced map and compare
+    (sigma1, E2, x1, t) at every collision of the leftmost pair."""
+    oracle = reduced_trajectory(params, state0, n_collisions)[1:]
+    billiard = billiard_from_mirror(params, state0)
+    # each reduced collision costs three events: the inner-pair swap plus
+    # the two simultaneous outer collisions
+    _, events = simulate(billiard, "forward", max_events=3 * n_collisions)
+    simulated = reduced_states_from_events(events, state0)
+    if len(simulated) < n_collisions:
+        raise SimulationError(
+            f"simulation produced {len(simulated)} collisions, "
+            f"expected {n_collisions}"
+        )
+
+    pairs = list(zip(oracle, simulated))
+    devs = {
+        key: [rel_diff(getattr(r, key), getattr(g, key)) for r, g in pairs]
+        for key in ("sigma1", "E2", "x1", "t")
+    }
+    max_dev = {key: max(vals, default=0.0) for key, vals in devs.items()}
+
+    seq = devs["sigma1"]
+    ratios = sorted(
+        b / a for a, b in zip(seq, seq[1:]) if a > 1e-14 and b > 1e-14
+    )
+    growth = ratios[len(ratios) // 2] if len(ratios) >= 3 else None
+    passed = all(v <= tol for v in max_dev.values())
+    return CrossCheckReport(n_collisions, max_dev, growth, passed, tol)

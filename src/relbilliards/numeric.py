@@ -16,7 +16,7 @@ from typing import Union
 
 Number = Union[int, float, Fraction]
 
-#: Default relative tolerance for treating a float quantity as zero.
+#: Relative tolerance for treating a float quantity as zero.
 REL_TOL = 1e-12
 
 
@@ -25,14 +25,14 @@ def is_exact(value: Number) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def near_zero(value: Number, scale: Number, rel_tol: float = REL_TOL) -> bool:
+def near_zero(value: Number, scale: Number) -> bool:
     """Whether ``value`` should be treated as zero at the scale of its inputs.
 
-    Exact values compare exactly; floats use ``|value| <= rel_tol * scale``.
+    Exact values compare exactly; floats use ``|value| <= REL_TOL * scale``.
     """
     if is_exact(value):
         return value == 0
-    return abs(value) <= rel_tol * abs(float(scale))
+    return abs(value) <= REL_TOL * abs(float(scale))
 
 
 def rel_diff(a: Number, b: Number) -> float:

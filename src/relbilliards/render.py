@@ -19,10 +19,14 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22",
 )
+#: Canvas size in pixels.
+_WIDTH = _HEIGHT = 640
+#: Worldlines extend past the logged time span by this fraction of it.
+_MARGIN = 0.05
 
 
 def worldlines(
-    events: list[CollisionEvent], margin: float = 0.05
+    events: list[CollisionEvent],
 ) -> tuple[dict[int, list[tuple[float, float]]], list[tuple[float, float]]]:
     """Per-particle (t, x) polylines plus (t, x) tachyonic markers.
 
@@ -35,7 +39,7 @@ def worldlines(
 
     times = [float(e.t) for e in events]
     t_lo, t_hi = min(times), max(times)
-    pad = margin * max(t_hi - t_lo, 1.0)
+    pad = _MARGIN * max(t_hi - t_lo, 1.0)
     t_start, t_end = t_lo - pad, t_hi + pad
 
     touched: dict[int, list[CollisionEvent]] = {}
@@ -67,11 +71,7 @@ def _state_of(event: CollisionEvent, label: int, which: str):
     return states[0] if event.pair[0] == label else states[1]
 
 
-def render_spacetime(
-    events: list[CollisionEvent],
-    width: int = 640,
-    height: int = 640,
-) -> str:
+def render_spacetime(events: list[CollisionEvent]) -> str:
     """Render the event log to SVG text (deterministic bytes)."""
     lines, markers = worldlines(events)
 
@@ -85,18 +85,18 @@ def render_spacetime(
     inset = 20.0
 
     def sx(x: float) -> float:
-        return inset + (x - x_lo) / x_span * (width - 2 * inset)
+        return inset + (x - x_lo) / x_span * (_WIDTH - 2 * inset)
 
     def sy(t: float) -> float:
-        return height - inset - (t - t_lo) / t_span * (height - 2 * inset)
+        return _HEIGHT - inset - (t - t_lo) / t_span * (_HEIGHT - 2 * inset)
 
     def fmt(v: float) -> str:
         return f"{v:.3f}"
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     for label, pts in sorted(lines.items()):
         color = _PALETTE[label % len(_PALETTE)]

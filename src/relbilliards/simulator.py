@@ -28,7 +28,7 @@ from .errors import (
     TripleCollisionError,
 )
 from .kinematics import ParticleState
-from .numeric import REL_TOL, Number, near_zero
+from .numeric import Number, near_zero
 
 Direction = Literal["forward", "backward"]
 
@@ -120,9 +120,7 @@ def _forward_candidates(state: BilliardState) -> list[tuple[int, Number]]:
 
 
 def next_collisions(
-    state: BilliardState,
-    direction: Direction = "forward",
-    rel_tol: float = REL_TOL,
+    state: BilliardState, direction: Direction = "forward"
 ) -> list[tuple[Pair, Number]]:
     """Adjacent pairs achieving the earliest intersection, with the event time.
 
@@ -139,7 +137,7 @@ def next_collisions(
     return [
         ((idx, idx + 1), back(t_event))
         for idx, dt in cands
-        if near_zero(dt - dt_min, scale, rel_tol)
+        if near_zero(dt - dt_min, scale)
     ]
 
 
@@ -166,7 +164,6 @@ def _advance(
     state: BilliardState,
     t: Number,
     found: list[tuple[Pair, Number]],
-    rel_tol: float,
 ) -> tuple[BilliardState, list[CollisionEvent]]:
     """Move every particle freely to ``t`` and resolve the collisions
     ``found`` there (the forward result of ``next_collisions``, or none)."""
@@ -180,9 +177,7 @@ def _advance(
         x_e = (advanced[i].x + advanced[j].x) / 2
         pre_i = advanced[i].with_position(x_e)
         pre_j = advanced[j].with_position(x_e)
-        outcome = resolve_collision(
-            pre_i.sigma_rho(), pre_j.sigma_rho(), rel_tol
-        )
+        outcome = resolve_collision(pre_i.sigma_rho(), pre_j.sigma_rho())
         post_i = ParticleState.from_sigma_rho(
             outcome.sr_i_after, x_e, pre_i.label, mu=pre_i.mu
         )
@@ -191,7 +186,7 @@ def _advance(
         )
         dv = post_i.velocity - post_j.velocity
         if dv > 0 and not near_zero(
-            dv, abs(post_i.velocity) + abs(post_j.velocity) + 1, rel_tol
+            dv, abs(post_i.velocity) + abs(post_j.velocity) + 1
         ):
             raise SimulationError(
                 f"pair ({i}, {j}) still approaching after resolution"
@@ -213,16 +208,14 @@ def _advance(
 
 
 def step(
-    state: BilliardState,
-    direction: Direction = "forward",
-    rel_tol: float = REL_TOL,
+    state: BilliardState, direction: Direction = "forward"
 ) -> tuple[BilliardState, list[CollisionEvent]]:
     """Advance to the next event time and resolve every collision there."""
     state, back = _forward_frame(state, direction)
-    found = next_collisions(state, "forward", rel_tol)
+    found = next_collisions(state, "forward")
     if not found:
         raise NoEventError("no next event")
-    state, events = _advance(state, found[0][1], found, rel_tol)
+    state, events = _advance(state, found[0][1], found)
     return back(state), [back(e) for e in events]
 
 
@@ -232,7 +225,6 @@ def simulate(
     *,
     max_events: int | None = None,
     t_limit: Number | None = None,
-    rel_tol: float = REL_TOL,
 ) -> tuple[BilliardState, list[CollisionEvent]]:
     """Run the event loop until an event or time budget is exhausted.
 
@@ -257,13 +249,13 @@ def simulate(
 
     log: list[CollisionEvent] = []
     while max_events is None or len(log) < max_events:
-        found = next_collisions(state, "forward", rel_tol)
+        found = next_collisions(state, "forward")
         if not found or (t_limit is not None and found[0][1] >= t_limit):
             if t_limit is not None:
-                state, _ = _advance(state, t_limit, [], rel_tol)
+                state, _ = _advance(state, t_limit, [])
             break
         try:
-            state, events = _advance(state, found[0][1], found, rel_tol)
+            state, events = _advance(state, found[0][1], found)
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         except ValueError as exc:

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import relbilliards as rb
-from relbilliards.cli import cross_check, main, tachyonic_census
+from relbilliards.cli import main
+from relbilliards.mirror import cross_check, tachyonic_census
 
 
 def _report(num: int, text: str) -> None:

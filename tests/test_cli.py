@@ -224,6 +224,31 @@ class TestOverrides:
 
         assert isinstance(events[0].t, Fraction)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "m.ini", "--events", "-3", "--out", "o"],
+            ["mirror", "--config", "m.ini", "--events", "-3", "--out", "o"],
+            ["cross-check", "--config", "m.ini", "--events", "-3",
+             "--out", "o"],
+            ["tachyon-scan", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+             "--steps", "-2", "--out", "o"],
+            ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+             "--x1", "-1", "--b-max", "-1"],
+        ],
+        ids=["simulate", "mirror", "cross-check", "tachyon-scan", "period"],
+    )
+    def test_negative_count_rejected(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "m.ini", MIRROR_CYCLE)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestMirrorCommand:
     def test_trajectory_csv(self, tmp_path):

@@ -422,7 +422,7 @@ class TestClassifyTachyonic:
         )
 
     def test_infinitely_many_count_grows_with_window(self):
-        from relbilliards.cli import tachyonic_census
+        from relbilliards.mirror import tachyonic_census
 
         for params, sigma0 in ((P43, 1.0), (rb.MirrorParams(1.7, 1.0), 0.5)):
             small, _ = tachyonic_census(params, sigma0, 400)
@@ -551,7 +551,7 @@ class TestMirrorInitial:
 
 class TestOracleEquivalence:
     def test_simulation_matches_reduced_trajectory(self):
-        from relbilliards.cli import cross_check
+        from relbilliards.mirror import cross_check
 
         for mu, e, sig, x in (
             (4.0, 1.0, 1.0, -1.0),
@@ -564,7 +564,7 @@ class TestOracleEquivalence:
             assert report.passed, (mu, e, sig, report.max_dev)
 
     def test_rational_mode_agrees_exactly(self):
-        from relbilliards.cli import cross_check
+        from relbilliards.mirror import cross_check
 
         params, s0 = rb.mirror_initial(
             Fraction(4), Fraction(1), Fraction(1), Fraction(-1), t0=Fraction(0)
