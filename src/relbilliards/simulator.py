@@ -1,8 +1,10 @@
 """Event-driven evolution of N particles on a line.
 
 Between collisions every particle moves freely at v = P/E; the scheduler
-finds the earliest adjacent-pair intersection(s), advances the whole state
-there, and resolves each colliding pair elastically. Several collisions at
+finds the earliest adjacent-pair intersection(s), moves every position
+there, and resolves each colliding pair elastically. A run keeps positions
+and velocities as plain numbers and builds ``ParticleState`` objects only
+for the colliding pairs and the returned state. Several collisions at
 the same time but different places are legal and resolved left to right
 (the pairs are disjoint, so the order does not matter); two collisions at
 the same time *and* place are a genuine discontinuity of the dynamics and
@@ -28,11 +30,20 @@ from .errors import (
     TripleCollisionError,
 )
 from .kinematics import ParticleState
-from .numeric import Number, near_zero
+from .numeric import REL_TOL, Number, is_exact, near_zero
 
 Direction = Literal["forward", "backward"]
 
 Pair = tuple[int, int]
+
+
+def _contact(a: Number, b: Number) -> Number:
+    """Neighbours at ``a > b``: a zero of the positions' type if the gap is
+    rounding slack (they are in contact), else ValueError."""
+    gap = b - a
+    if not near_zero(gap, abs(a) + abs(b) + 1):
+        raise ValueError(f"positions must be nondecreasing, got {a!r} > {b!r}")
+    return gap - gap
 
 
 @dataclass(frozen=True)
@@ -47,11 +58,8 @@ class BilliardState:
             object.__setattr__(self, "particles", tuple(self.particles))
         xs = [p.x for p in self.particles]
         for a, b in zip(xs, xs[1:]):
-            gap = b - a
-            if gap < 0 and not near_zero(gap, abs(a) + abs(b) + 1):
-                raise ValueError(
-                    f"positions must be nondecreasing, got {a!r} > {b!r}"
-                )
+            if b - a < 0:
+                _contact(a, b)
 
     def __len__(self) -> int:
         return len(self.particles)
@@ -103,20 +111,35 @@ def _forward_frame(state: BilliardState, direction: Direction):
     return _time_reversed(state), _time_reversed
 
 
-def _forward_candidates(state: BilliardState) -> list[tuple[int, Number]]:
-    """All (left index, flight time) pairs with a genuine future intersection."""
-    out = []
-    ps = state.particles
-    for idx, (a, b) in enumerate(zip(ps, ps[1:])):
-        w = a.velocity - b.velocity  # closing speed
-        if w <= 0:
-            continue
-        gap = b.x - a.x
+def _earliest(xs: list, vs: list, t: Number) -> list[tuple[Pair, Number]]:
+    """Adjacent pairs achieving the earliest intersection after time ``t``
+    (positions ``xs``, velocities ``vs``), each with the event time.
+
+    Also checks that the positions are nondecreasing, as ``BilliardState``
+    does. A pair ties with the earliest when its flight time exceeds the
+    shortest by zero, or, if that excess is a float, by at most ``REL_TOL``
+    times ``max(1, |t_event|)``: the rule of ``near_zero``, with the
+    tolerance computed once since the excess is never negative.
+    """
+    cands = []
+    for idx, (a, b, va, vb) in enumerate(zip(xs, xs[1:], vs, vs[1:])):
+        gap = b - a
         if gap < 0:
-            # rounding slack from a previous event; treat as contact
-            gap = gap - gap  # zero of the right number type
-        out.append((idx, gap / w))
-    return out
+            gap = _contact(a, b)
+        w = va - vb  # closing speed
+        if w > 0:
+            cands.append((idx, gap / w))
+    if not cands:
+        return []
+    dt_min = min(dt for _, dt in cands)
+    t_event = t + dt_min
+    tol = REL_TOL * max(1.0, abs(float(t_event)))
+    return [
+        ((idx, idx + 1), t_event)
+        for idx, dt in cands
+        if dt == dt_min
+        or (dt - dt_min <= tol and not is_exact(dt - dt_min))
+    ]
 
 
 def next_collisions(
@@ -128,17 +151,9 @@ def next_collisions(
     the snapped event time); an empty list means no collision lies ahead.
     """
     state, back = _forward_frame(state, direction)
-    cands = _forward_candidates(state)
-    if not cands:
-        return []
-    dt_min = min(dt for _, dt in cands)
-    t_event = state.t + dt_min
-    scale = max(1.0, abs(float(t_event)))
-    return [
-        ((idx, idx + 1), back(t_event))
-        for idx, dt in cands
-        if near_zero(dt - dt_min, scale)
-    ]
+    ps = state.particles
+    found = _earliest([p.x for p in ps], [p.velocity for p in ps], state.t)
+    return [(pair, back(t)) for pair, t in found]
 
 
 def _check_disjoint(selected: list[Pair]) -> None:
@@ -160,23 +175,20 @@ def _check_disjoint(selected: list[Pair]) -> None:
         used.update((i, j))
 
 
-def _advance(
-    state: BilliardState,
-    t: Number,
-    found: list[tuple[Pair, Number]],
-) -> tuple[BilliardState, list[CollisionEvent]]:
-    """Move every particle freely to ``t`` and resolve the collisions
-    ``found`` there (the forward result of ``next_collisions``, or none)."""
-    dt = t - state.t
-    advanced = [p.moved(dt) for p in state.particles]
+def _resolve(
+    ps: list, xs: list, vs: list, t: Number, found: list[tuple[Pair, Number]]
+) -> list[CollisionEvent]:
+    """Resolve the collisions ``found`` at time ``t``, where the particles
+    ``ps`` sit at ``xs``; update ``ps``, ``xs`` and ``vs`` for the colliding
+    pairs and return their events."""
     selected = [pair for pair, _ in found]
     _check_disjoint(selected)
 
     events = []
     for i, j in selected:  # left-to-right; pairs are disjoint
-        x_e = (advanced[i].x + advanced[j].x) / 2
-        pre_i = advanced[i].with_position(x_e)
-        pre_j = advanced[j].with_position(x_e)
+        x_e = (xs[i] + xs[j]) / 2
+        pre_i = ps[i].with_position(x_e)
+        pre_j = ps[j].with_position(x_e)
         outcome = resolve_collision(pre_i.sigma_rho(), pre_j.sigma_rho())
         post_i = ParticleState.from_sigma_rho(
             outcome.sr_i_after, x_e, pre_i.label, mu=pre_i.mu
@@ -184,15 +196,15 @@ def _advance(
         post_j = ParticleState.from_sigma_rho(
             outcome.sr_j_after, x_e, pre_j.label, mu=pre_j.mu
         )
-        dv = post_i.velocity - post_j.velocity
-        if dv > 0 and not near_zero(
-            dv, abs(post_i.velocity) + abs(post_j.velocity) + 1
-        ):
+        v_i, v_j = post_i.velocity, post_j.velocity
+        dv = v_i - v_j
+        if dv > 0 and not near_zero(dv, abs(v_i) + abs(v_j) + 1):
             raise SimulationError(
                 f"pair ({i}, {j}) still approaching after resolution"
             )
-        advanced[i] = post_i
-        advanced[j] = post_j
+        ps[i], ps[j] = post_i, post_j
+        xs[i] = xs[j] = x_e
+        vs[i], vs[j] = v_i, v_j
         events.append(
             CollisionEvent(
                 t=t,
@@ -204,19 +216,17 @@ def _advance(
                 sign_flips=(outcome.sign_flip_i, outcome.sign_flip_j),
             )
         )
-    return BilliardState(tuple(advanced), t), events
+    return events
 
 
 def step(
     state: BilliardState, direction: Direction = "forward"
 ) -> tuple[BilliardState, list[CollisionEvent]]:
     """Advance to the next event time and resolve every collision there."""
-    state, back = _forward_frame(state, direction)
-    found = next_collisions(state, "forward")
-    if not found:
+    state, events = simulate(state, direction, max_events=1)
+    if not events:
         raise NoEventError("no next event")
-    state, events = _advance(state, found[0][1], found)
-    return back(state), [back(e) for e in events]
+    return state, events
 
 
 def simulate(
@@ -247,15 +257,28 @@ def simulate(
                 f"{direction} t_limit must not {bound} the start time"
             )
 
+    # The particles as last resolved, their positions at time t and their
+    # velocities; only colliding pairs get new particles.
+    ps = list(state.particles)
+    xs = [p.x for p in ps]
+    vs = [p.velocity for p in ps]
+    t = state.t
     log: list[CollisionEvent] = []
+    found = _earliest(xs, vs, t)
     while max_events is None or len(log) < max_events:
-        found = next_collisions(state, "forward")
         if not found or (t_limit is not None and found[0][1] >= t_limit):
             if t_limit is not None:
-                state, _ = _advance(state, t_limit, [])
+                dt = t_limit - t
+                xs = [x + v * dt for x, v in zip(xs, vs)]
+                t = t_limit
             break
+        t_event = found[0][1]
+        dt = t_event - t
+        xs = [x + v * dt for x, v in zip(xs, vs)]
+        t = t_event
         try:
-            state, events = _advance(state, found[0][1], found)
+            events = _resolve(ps, xs, vs, t, found)
+            found = _earliest(xs, vs, t)
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         except ValueError as exc:
@@ -263,4 +286,5 @@ def simulate(
                 f"{exc} (at event index {len(log)})"
             ) from exc
         log.extend(events)
-    return back(state), [back(e) for e in log]
+    particles = tuple(p.with_position(x) for p, x in zip(ps, xs))
+    return back(BilliardState(particles, t)), [back(e) for e in log]

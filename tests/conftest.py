@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -104,3 +105,16 @@ def relative_error(a, b) -> float:
 
 def make_mirror_case(mu, e_total, sigma1_0, x1_0=-1.0):
     return rb.mirror_initial(mu, e_total, sigma1_0, x1_0)
+
+
+def bradyon_gas(seed: int, n: int) -> rb.BilliardState:
+    """Bradyon gas: sorted uniform positions in [0, n], E in [0.5, 2],
+    v in [-0.9, 0.9] (the recipe of the benchmark's gas_float workload)."""
+    rng = random.Random(seed)
+    xs = sorted(rng.uniform(0.0, n) for _ in range(n))
+    particles = []
+    for label, x in enumerate(xs):
+        E = rng.uniform(0.5, 2.0)
+        P = E * rng.uniform(-0.9, 0.9)
+        particles.append(rb.ParticleState(E, P, E * E - P * P, x, label))
+    return rb.BilliardState(tuple(particles), 0.0)

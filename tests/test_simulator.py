@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import relbilliards as rb
-from conftest import relative_error
+from conftest import bradyon_gas, relative_error
 
 
 def _two_body(x1, v1, mu1, x2, v2, mu2, E1=1.0, E2=1.0):
@@ -86,6 +86,16 @@ class TestStep:
         )
         s = rb.BilliardState(ps, 0.0)
         with pytest.raises(rb.TripleCollisionError):
+            rb.step(s)
+
+    def test_error_carries_event_index(self):
+        ps = (
+            rb.ParticleState(1.0, 0.5, 0.75, -1.0, 0),
+            rb.ParticleState(1.0, 0.0, 1.0, 0.0, 1),
+            rb.ParticleState(1.0, -0.5, 0.75, 1.0, 2),
+        )
+        s = rb.BilliardState(ps, 0.0)
+        with pytest.raises(rb.TripleCollisionError, match="event index 0"):
             rb.step(s)
 
     def test_mirror_double_event_conserves_totals(self):
@@ -196,6 +206,37 @@ class TestStepMatchesSimulate:
             events.extend(batch)
         assert len(events) == n  # one collision per event time
         assert rb.simulate(s0, direction, max_events=n) == (state, events)
+
+
+class TestObjectCost:
+    """Particles built by one run, counted rather than timed: a run builds
+    them for the colliding pairs and the returned state, not for every
+    particle at every event."""
+
+    def test_objects_scale_with_events_not_particles(self, monkeypatch):
+        n = 512
+        start = bradyon_gas(7, n)
+        built = 0
+        unchecked = vars(rb.ParticleState)["_unchecked"].__func__
+
+        def counting(cls, *args):
+            nonlocal built
+            built += 1
+            return unchecked(cls, *args)
+
+        monkeypatch.setattr(
+            rb.ParticleState, "_unchecked", classmethod(counting)
+        )
+        # Forward: the returned state, and two particles before and two
+        # after each collision. Backward adds the reversal of the start
+        # state, of the returned state and of each event's four particles.
+        state, log = rb.simulate(start, max_events=50)
+        assert len(log) >= 50
+        assert built <= n + 4 * len(log)
+        built = 0
+        _, log = rb.simulate(state, "backward", max_events=50)
+        assert len(log) >= 50
+        assert built <= 3 * n + 8 * len(log)
 
 
 class TestReversibility:
