@@ -27,6 +27,7 @@ from .errors import (
 from .render import render_spacetime
 from .scale import GRAVITY_M_PER_KG, estimate_tachyonic_scale
 from .serialize import (
+    _repr_number,
     events_from_csv,
     events_to_csv,
     mirror_trajectory_to_csv,
@@ -68,7 +69,8 @@ def _run_simulate(args) -> int:
     text = events_to_csv(events, config.arithmetic, rows)
     out = os.path.join(args.out, "events.csv")
     write_atomic(out, text)
-    print(f"wrote {out} ({len(events)} events, final t = {state.t!r})")
+    t = _repr_number(state.t)
+    print(f"wrote {out} ({len(events)} events, final t = {t})")
     if "svg" in config.outputs:
         svg = render_spacetime(events)
         svg_path = os.path.join(args.out, "spacetime.svg")

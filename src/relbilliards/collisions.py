@@ -31,7 +31,7 @@ def collision_condition(i: SigmaRho, j: SigmaRho) -> bool:
     """
     a = i.sigma * j.rho
     b = j.sigma * i.rho
-    return not near_zero(a - b, abs(a) + abs(b))
+    return not near_zero(a - b, a, b)
 
 
 def rest_mass_squared(i: SigmaRho, j: SigmaRho) -> Number:
@@ -63,8 +63,14 @@ class CollisionOutcome:
     sign_flip_j: bool
 
 
+def _opposite_signs(a: Number, b: Number) -> bool:
+    """Whether a * b < 0, read from the signs without the product."""
+    return a < 0 < b or b < 0 < a
+
+
 def _sign_flip(before: SigmaRho, after: SigmaRho) -> bool:
-    return before.energy * after.energy < 0
+    """Whether the energy (sigma + rho)/2 changes sign."""
+    return _opposite_signs(before.sigma + before.rho, after.sigma + after.rho)
 
 
 def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
@@ -93,9 +99,7 @@ def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
         after_i = SigmaRho(j.sigma, j.rho)
         after_j = SigmaRho(i.sigma, i.rho)
     else:
-        if near_zero(s, abs(i.sigma) + abs(j.sigma)) or near_zero(
-            r, abs(i.rho) + abs(j.rho)
-        ):
+        if near_zero(s, i.sigma, j.sigma) or near_zero(r, i.rho, j.rho):
             raise DegenerateCollisionError(
                 "degenerate collision (s*r = 0): zero rest mass pair"
             )
@@ -109,7 +113,7 @@ def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
         sr_j_after=after_j,
         s=s,
         r=r,
-        tachyonic=s * r < 0,
+        tachyonic=_opposite_signs(s, r),
         sign_flip_i=_sign_flip(i, after_i),
         sign_flip_j=_sign_flip(j, after_j),
     )

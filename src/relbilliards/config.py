@@ -41,6 +41,7 @@ exactly. ``outputs`` selects artifacts: "events" (default) and/or "svg".
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -69,14 +70,41 @@ class ScenarioConfig:
     mirror: Optional[tuple[MirrorParams, MirrorState]] = None
 
 
+#: The ``p/q`` (or ``p``) spelling of a rational that ``serialize`` writes.
+_RATIO = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_number(text: str, arithmetic: str, where: str) -> Number:
     text = text.strip()
     try:
         if arithmetic == "rational":
-            return Fraction(text)
+            return _fraction(text)
         return float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, also for a ``p/q`` whose parts are over the
+    interpreter's limit on str-to-int conversion (left as it is)."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = _RATIO.fullmatch(text)
+        if match is None:
+            raise
+    sign, num, den = match.groups()
+    value = Fraction(_int(num), _int(den or "1"))
+    return -value if sign else value
+
+
+def _int(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits of any length."""
+    try:
+        return int(digits)
+    except ValueError:  # over the digit limit: convert in pieces under it
+        half = len(digits) // 2
+        return _int(digits[:-half]) * 10**half + _int(digits[-half:])
 
 
 def _get(section, key: str, where: str) -> str:

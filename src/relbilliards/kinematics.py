@@ -113,14 +113,18 @@ class ParticleState:
             raise ZeroEnergyError(
                 f"particle {self.label}: energy must be nonzero"
             )
-        drift = self.mass_drift()
+        E, P = self.E, self.P
+        # E**2 - P**2 - mu as sigma*rho - mu: the same exact value from
+        # smaller products. Floats take the drift in mass_drift's order.
+        drift = (E - P) * (E + P) - self.mu
         if is_exact(drift):
             if drift != 0:
                 raise ValueError(
                     f"particle {self.label}: mu != E**2 - P**2 (off by {drift})"
                 )
         else:
-            scale = float(self.E * self.E + self.P * self.P + abs(self.mu))
+            drift = self.mass_drift()
+            scale = float(E * E + P * P + abs(self.mu))
             if abs(float(drift)) > drift_tol * scale:
                 raise ValueError(
                     f"particle {self.label}: mu inconsistent with E, P "

@@ -83,8 +83,9 @@ class TachyonicCount(Enum):
 
 
 def _check_pole(sigma: Number, params: MirrorParams) -> Number:
-    denom = 2 * params.E_total - sigma
-    if near_zero(denom, abs(2 * params.E_total) + abs(sigma)):
+    two_e = 2 * params.E_total
+    denom = two_e - sigma
+    if near_zero(denom, two_e, sigma):
         raise PoleError(
             f"pole of reduced map: sigma = {sigma!r} at 2*E_total"
         )
@@ -252,9 +253,7 @@ def reduced_trajectory(
     the offending index if the orbit hits the map's pole.
     """
     res = consistency_residual(initial, params)
-    if not near_zero(
-        res, abs(2 * initial.E2) + abs(initial.sigma1) + abs(2 * params.E_total)
-    ):
+    if not near_zero(res, 2 * initial.E2, initial.sigma1, 2 * params.E_total):
         raise ConfigError(
             f"initial state violates the energy split (residual {res!r})"
         )
@@ -263,10 +262,12 @@ def reduced_trajectory(
     state = initial
     for _ in range(n_forward):
         try:
-            sigma_next = reduced_map(state.sigma1, params)
-            e2_next = e2_update(state.E2, state.sigma1, params)
+            denom = _check_pole(state.sigma1, params)
         except PoleError as exc:
             raise PoleError(f"{exc} (at collision index {state.n})") from exc
+        # reduced_map and e2_update, over one pole check
+        sigma_next = params.mu / denom
+        e2_next = state.E2 * state.sigma1 / denom
         x1_next = x1_update(state.x1, state.sigma1, params)
         tau = -state.x1 - x1_next
         state = MirrorState(

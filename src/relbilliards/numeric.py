@@ -7,6 +7,10 @@ implicitly by the number types fed in:
   divisions that collision resolution performs;
 * exact mode -- ``fractions.Fraction`` (or int) inputs, in which case all
   zero tests are exact and results are bit-reproducible.
+
+A zero test takes the terms of its tolerance scale, not the scale: the
+scale is summed only for a float, since an exact value is compared with
+zero as it is.
 """
 
 from __future__ import annotations
@@ -22,17 +26,20 @@ REL_TOL = 1e-12
 
 def is_exact(value: Number) -> bool:
     """True for number types that support exact comparison (int, Fraction)."""
+    if type(value) is float:
+        return False
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def near_zero(value: Number, scale: Number) -> bool:
+def near_zero(value: Number, *terms: Number) -> bool:
     """Whether ``value`` should be treated as zero at the scale of its inputs.
 
-    Exact values compare exactly; floats use ``|value| <= REL_TOL * scale``.
+    Exact values compare exactly; floats use ``|value| <= REL_TOL * scale``
+    with ``scale = |terms[0]| + |terms[1]| + ...``.
     """
     if is_exact(value):
         return value == 0
-    return abs(value) <= REL_TOL * abs(float(scale))
+    return abs(value) <= REL_TOL * float(sum(map(abs, terms)))
 
 
 def rel_diff(a: Number, b: Number) -> float:

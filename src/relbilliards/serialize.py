@@ -41,9 +41,38 @@ _EVENT_FIELDS = [
 _MIRROR_FIELDS = ["n", "t", "sigma1", "E2", "x1", "k"]
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any length. One over the interpreter's
+    limit on int-to-str conversion is written in pieces under the limit,
+    which is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _repr_number(value: Number) -> str:
+    """``repr(value)``, also for a Fraction over the digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        num, den = value.as_integer_ratio()
+        return f"Fraction({_decimal(num)}, {_decimal(den)})"
+
+
 def _format_number(value: Number) -> str:
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # a part over the int-to-str digit limit
+            num, den = value.as_integer_ratio()
+            text = _decimal(num)
+            return text if den == 1 else f"{text}/{_decimal(den)}"
     return repr(float(value))
 
 
@@ -138,18 +167,17 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         i, j = int(rec["i"]), int(rec["j"])
         x = num("x")
 
-        def state(e_key, p_key, mu_key, label):
-            return ParticleState._evolved(
-                num(e_key), num(p_key), num(mu_key), x, label
-            )
+        def state(E, P, mu, label):
+            return ParticleState._evolved(E, P, mu, x, label)
 
+        # Fields parse in column order; each mu once, for both states.
         pre = (
-            state("E_i_pre", "P_i_pre", "mu_i", i),
-            state("E_j_pre", "P_j_pre", "mu_j", j),
+            state(num("E_i_pre"), num("P_i_pre"), num("mu_i"), i),
+            state(num("E_j_pre"), num("P_j_pre"), num("mu_j"), j),
         )
         post = (
-            state("E_i_post", "P_i_post", "mu_i", i),
-            state("E_j_post", "P_j_post", "mu_j", j),
+            state(num("E_i_post"), num("P_i_post"), pre[0].mu, i),
+            state(num("E_j_post"), num("P_j_post"), pre[1].mu, j),
         )
         events.append(
             CollisionEvent(

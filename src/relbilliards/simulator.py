@@ -41,7 +41,7 @@ def _contact(a: Number, b: Number) -> Number:
     """Neighbours at ``a > b``: a zero of the positions' type if the gap is
     rounding slack (they are in contact), else ValueError."""
     gap = b - a
-    if not near_zero(gap, abs(a) + abs(b) + 1):
+    if not near_zero(gap, a, b, 1):
         raise ValueError(f"positions must be nondecreasing, got {a!r} > {b!r}")
     return gap - gap
 
@@ -119,7 +119,7 @@ def _earliest(xs: list, vs: list, t: Number) -> list[tuple[Pair, Number]]:
     does. A pair ties with the earliest when its flight time exceeds the
     shortest by zero, or, if that excess is a float, by at most ``REL_TOL``
     times ``max(1, |t_event|)``: the rule of ``near_zero``, with the
-    tolerance computed once since the excess is never negative.
+    tolerance computed once, and only when some flight time is a float.
     """
     cands = []
     for idx, (a, b, va, vb) in enumerate(zip(xs, xs[1:], vs, vs[1:])):
@@ -133,7 +133,9 @@ def _earliest(xs: list, vs: list, t: Number) -> list[tuple[Pair, Number]]:
         return []
     dt_min = min(dt for _, dt in cands)
     t_event = t + dt_min
-    tol = REL_TOL * max(1.0, abs(float(t_event)))
+    tol = 0  # an exact excess is positive, so it fails <= tol
+    if not all(is_exact(dt) for _, dt in cands):
+        tol = REL_TOL * max(1.0, abs(float(t_event)))
     return [
         ((idx, idx + 1), t_event)
         for idx, dt in cands
@@ -186,7 +188,10 @@ def _resolve(
 
     events = []
     for i, j in selected:  # left-to-right; pairs are disjoint
-        x_e = (xs[i] + xs[j]) / 2
+        a, b = xs[i], xs[j]
+        # An exact pair meets at one point. Floats keep the midpoint: it
+        # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
+        x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
         pre_i = ps[i].with_position(x_e)
         pre_j = ps[j].with_position(x_e)
         outcome = resolve_collision(pre_i.sigma_rho(), pre_j.sigma_rho())
@@ -198,7 +203,7 @@ def _resolve(
         )
         v_i, v_j = post_i.velocity, post_j.velocity
         dv = v_i - v_j
-        if dv > 0 and not near_zero(dv, abs(v_i) + abs(v_j) + 1):
+        if dv > 0 and not near_zero(dv, v_i, v_j, 1):
             raise SimulationError(
                 f"pair ({i}, {j}) still approaching after resolution"
             )

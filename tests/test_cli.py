@@ -1,6 +1,8 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
 import csv
+import re
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from relbilliards.cli import main
 from relbilliards.config import initial_state, parse_config
 from relbilliards.render import render_spacetime, worldlines
 from relbilliards.serialize import events_from_csv, events_to_csv
+from test_golden_gas import _fraction_gas
 
 ZERO_ENERGY_COLLISION = """
 [scenario]
@@ -39,6 +42,17 @@ E_total = 1
 sigma1 = 1
 x1 = -1
 """
+
+
+def _assert_digits(text, n):
+    """``text`` spells the int ``n`` over 4300 digits: its length, sign
+    and the 50 digits at either end, checked without ``str(n)``."""
+    assert text.startswith("-") == (n < 0)
+    digits, n = text.lstrip("-"), abs(n)
+    assert len(digits) > 4300
+    assert 10 ** (len(digits) - 1) <= n < 10 ** len(digits)
+    assert int(digits[:50]) == n // 10 ** (len(digits) - 50)
+    assert int(digits[-50:]) == n % 10**50
 
 
 def write(tmp_path, name, text):
@@ -141,6 +155,47 @@ class TestSimulateCommand:
         back, arithmetic = events_from_csv(text)
         assert arithmetic == "rational"
         assert back == events
+
+    def test_rationals_over_the_digit_limit(self, tmp_path, capsys):
+        """Python refuses str(int) and int(str) over 4300 digits by
+        default. Such numbers are written and read back all the same, and
+        the limit is left as it is."""
+        assert sys.get_int_max_str_digits() == 4300
+        start = _fraction_gas(10, 6)
+        _, log = rb.simulate(start, max_events=20)
+        text = events_to_csv(log, "rational")
+        assert events_from_csv(text) == (log, "rational")
+        rows = list(csv.DictReader(text.splitlines()[1:]))
+        k, side, value = max(
+            (
+                (k, side, p.E)
+                for k, e in enumerate(log)
+                for side, p in enumerate(e.post)
+            ),
+            key=lambda item: abs(item[2].numerator),
+        )
+        field = rows[k][("E_i_post", "E_j_post")[side]]
+        _assert_digits(field.split("/")[0], value.numerator)
+
+        lines = ["[scenario]", "mode = general", "arithmetic = rational",
+                 "events = 30"]
+        for label, p in enumerate(start.particles):
+            lines += [f"[particle {label}]", f"E = {p.E}", f"P = {p.P}",
+                      f"mu = {p.mu}", f"x = {p.x}"]
+        cfg = write(tmp_path, "gas.ini", "\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        state, full = rb.simulate(start, max_events=30)
+        written = (tmp_path / "events.csv").read_text()
+        assert events_from_csv(written) == (full, "rational")
+        out = capsys.readouterr().out
+        num, den = re.fullmatch(
+            rf"wrote .*events\.csv \({len(full)} events, "
+            r"final t = Fraction\((\d+), (\d+)\)\)\n",
+            out,
+        ).groups()
+        _assert_digits(num, state.t.numerator)
+        _assert_digits(den, state.t.denominator)
 
     def test_mirror_columns_cycle(self, tmp_path):
         cfg = write(tmp_path, "s.ini", MIRROR_CYCLE)

@@ -4,10 +4,28 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
 
 import relbilliards as rb
-from conftest import rational_sigma_rho_pairs, sigma_rho_pairs
+from conftest import any_particle, rational_sigma_rho_pairs, sigma_rho_pairs
+
+
+@st.composite
+def species_pairs(draw):
+    """Two light-cone states of any species (bradyon, tachyon, massless)
+    and energy sign, both float or both Fraction."""
+    exact = draw(st.booleans())
+
+    def state():
+        p = draw(any_particle())
+        if not exact:
+            return p.sigma_rho()
+        E = Fraction(p.E).limit_denominator(16)
+        v = Fraction(p.velocity).limit_denominator(16)
+        return rb.SigmaRho(E * (1 + v), E * (1 - v))
+
+    return state(), state()
 
 
 def _quadratic_oracle(i: rb.SigmaRho, j: rb.SigmaRho):
@@ -210,8 +228,17 @@ class TestResolveCollision:
         if j.mass_squared >= 0:
             assert out.sign_flip_j == (sr_sign < 0)
 
-    def test_tachyonic_flag_matches_rest_mass(self):
-        i = rb.SigmaRho(1.0, 1.0)
-        j = rb.SigmaRho(0.0, -2.0)
-        out = rb.resolve_collision(i, j)
+    @given(species_pairs())
+    @example((rb.SigmaRho(1.0, 1.0), rb.SigmaRho(0.0, -2.0)))
+    def test_tachyonic_flag_matches_rest_mass(self, pair):
+        """The flags, read from signs, agree with the products they stand
+        for: s*r for ``tachyonic``, E_before*E_after for each sign flip."""
+        i, j = pair
+        try:
+            out = rb.resolve_collision(i, j)
+        except (rb.NoCollisionError, rb.DegenerateCollisionError):
+            reject()
         assert out.tachyonic == (rb.rest_mass_squared(i, j) < 0)
+        assert out.tachyonic == (out.s * out.r < 0)
+        assert out.sign_flip_i == (i.energy * out.sr_i_after.energy < 0)
+        assert out.sign_flip_j == (j.energy * out.sr_j_after.energy < 0)

@@ -153,6 +153,23 @@ class TestParticleState:
             rb.ParticleState(
                 Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0)
             )
+        # ~1000-bit data, mu off by 1e-300: far below any float tolerance
+        E = Fraction(3**600 + 1, 7**300)
+        P = Fraction(2**900 - 1, 5**400)
+        mu = E * E - P * P + Fraction(1, 10**300)
+        with pytest.raises(ValueError) as info:
+            rb.ParticleState(E, P, mu, Fraction(0), label=3)
+        unchecked = rb.ParticleState._unchecked(E, P, mu, Fraction(0), 3)
+        drift = unchecked.mass_drift()
+        assert drift == Fraction(-1, 10**300)
+        assert str(info.value) == (
+            f"particle 3: mu != E**2 - P**2 (off by {drift})"
+        )
+        # int and Fraction mixed: still the exact rule
+        assert rb.ParticleState(2, Fraction(1), 3, 0).mass_drift() == 0
+        big = 10**6
+        with pytest.raises(ValueError, match=r"off by -1/1000000000\)"):
+            rb.ParticleState(big, 0, big * big + Fraction(1, 10**9), 0)
 
     def test_massless_factory_exact_speed(self):
         for E in (0.3, -1.7, 2.0):

@@ -209,9 +209,10 @@ class TestStepMatchesSimulate:
 
 
 class TestObjectCost:
-    """Particles built by one run, counted rather than timed: a run builds
-    them for the colliding pairs and the returned state, not for every
-    particle at every event."""
+    """Objects built by one run, counted rather than timed: a run builds
+    particles for the colliding pairs and the returned state, not for every
+    particle at every event, and in exact mode only the Fractions that its
+    results need."""
 
     def test_objects_scale_with_events_not_particles(self, monkeypatch):
         n = 512
@@ -237,6 +238,40 @@ class TestObjectCost:
         _, log = rb.simulate(state, "backward", max_events=50)
         assert len(log) >= 50
         assert built <= 3 * n + 8 * len(log)
+
+    def test_exact_mode_fractions_per_event(self, monkeypatch):
+        """Exact mode builds no float tolerance scale and no product read
+        only for its sign: Fractions built per event of the mu=5/4 mirror
+        system, over events 600 to 900."""
+        params, m0 = rb.mirror_initial(
+            Fraction(5, 4), Fraction(1), Fraction(1, 3), Fraction(-1),
+            t0=Fraction(0),
+        )
+        start = rb.billiard_from_mirror(params, m0)
+        state, _ = rb.simulate(start, max_events=600)
+        built = 0
+
+        def counted(name, wrap):
+            make = vars(Fraction)[name].__func__
+
+            def counting(cls, *args, **kwargs):
+                nonlocal built
+                built += 1
+                return make(cls, *args, **kwargs)
+
+            monkeypatch.setattr(Fraction, name, wrap(counting))
+
+        counted("__new__", staticmethod)
+        # Python 3.12 builds arithmetic results here, not in __new__, and
+        # also turns each int operand into a Fraction: 4 per event here,
+        # from the /2 of energy and momentum.
+        bound = 50
+        if "_from_coprime_ints" in vars(Fraction):
+            counted("_from_coprime_ints", classmethod)
+            bound += 4
+        _, log = rb.simulate(state, max_events=300)
+        assert len(log) == 300
+        assert built <= bound * len(log)
 
 
 class TestReversibility:
