@@ -29,6 +29,7 @@ from .errors import (
     PoleError,
     SimulationError,
     TripleCollisionError,
+    ValidationError,
     ZeroEnergyError,
 )
 from .kinematics import (
@@ -105,6 +106,7 @@ __all__ = [
     "SimulationError",
     "TachyonicCount",
     "TripleCollisionError",
+    "ValidationError",
     "ZeroEnergyError",
     "billiard_from_mirror",
     "classify_tachyonic",

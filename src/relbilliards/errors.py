@@ -48,3 +48,9 @@ class DiscriminantError(BilliardError):
 
 class ConfigError(BilliardError):
     """Invalid scenario configuration."""
+
+
+class ValidationError(BilliardError, ValueError):
+    """An argument or a state breaks the package's rules: inconsistent
+    particle data, out-of-order positions, an unknown option. Also a
+    ValueError, for callers that catch that."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateKinematicsError, ZeroEnergyError
+from .errors import DegenerateKinematicsError, ValidationError, ZeroEnergyError
 from .numeric import REL_TOL, Number, is_exact
 
 
@@ -119,14 +119,14 @@ class ParticleState:
         drift = (E - P) * (E + P) - self.mu
         if is_exact(drift):
             if drift != 0:
-                raise ValueError(
+                raise ValidationError(
                     f"particle {self.label}: mu != E**2 - P**2 (off by {drift})"
                 )
         else:
             drift = self.mass_drift()
             scale = float(E * E + P * P + abs(self.mu))
             if abs(float(drift)) > drift_tol * scale:
-                raise ValueError(
+                raise ValidationError(
                     f"particle {self.label}: mu inconsistent with E, P "
                     f"(drift {float(drift):.3e} at scale {scale:.3e})"
                 )
@@ -212,5 +212,5 @@ def massless(
     bit-for-bit and the stored mu is exactly zero.
     """
     if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
+        raise ValidationError("direction must be +1 or -1")
     return ParticleState(E=E, P=direction * E, mu=E - E, x=x, label=label)

@@ -35,7 +35,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import ConfigError, DiscriminantError, PoleError, SimulationError
+from .errors import (
+    ConfigError,
+    DiscriminantError,
+    PoleError,
+    SimulationError,
+    ValidationError,
+)
 from .kinematics import ParticleState, massless
 from .numeric import Number, near_zero, rel_diff
 from .simulator import BilliardState, CollisionEvent, simulate
@@ -400,7 +406,7 @@ def period(
             continue
         if _confirm_cycle(params, b):
             if k_value is None:
-                raise ValueError(
+                raise ValidationError(
                     "motion constant k required to compute the period time"
                 )
             mu = float(params.mu)
@@ -553,7 +559,7 @@ def tachyon_scale_bound(params: MirrorParams, kappa: Number) -> Number:
             "bound requires delta >= -E_total**2 (i.e. mu <= 2*E_total**2)"
         )
     if kappa < 0:
-        raise ValueError(
+        raise ValidationError(
             "bound requires kappa >= 0 (solutions with tachyonic collisions "
             "have kappa > 0)"
         )

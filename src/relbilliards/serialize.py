@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import tempfile
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .config import _ARITHMETICS, _parse_number
 from .errors import ConfigError
@@ -137,6 +138,33 @@ def events_to_csv(
     return out.getvalue()
 
 
+def _records(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The CSV records in ``lines``, each with the number of its last line
+    in the file (the schema tag is line 1).
+
+    A line without a quote character is split at its commas, which is how
+    the ``csv`` module reads it, but without that module's field size
+    limit: a rational that ``events_to_csv`` wrote may exceed it, and the
+    limit is process-wide, so it is left as it is. A quoted record, which
+    may span lines, still goes through ``csv.reader``; a field of it over
+    the limit is a ConfigError.
+    """
+    rest = iter(lines)
+    num = 1
+    for line in rest:
+        num += 1
+        if '"' not in line:
+            yield num, line.split(",") if line else []
+            continue
+        reader = csv.reader(itertools.chain([line], rest))
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            raise ConfigError(f"line {num}: {exc}") from exc
+        num += reader.line_num - 1
+        yield num, row
+
+
 def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
     """Parse CSV text back into an event log. Returns (events, arithmetic)."""
     lines = text.splitlines()
@@ -147,14 +175,14 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         arithmetic = lines[0].split("arithmetic=")[1].strip()
     if arithmetic not in _ARITHMETICS:
         raise ConfigError(f"line 1: unknown arithmetic {arithmetic!r}")
-    reader = csv.reader(lines[1:])
-    header = next(reader)
+    records = _records(lines[1:])
+    _, header = next(records, (2, None))
     if header != _EVENT_FIELDS:
         raise ConfigError("unexpected column layout")
 
     events = []
-    for row in reader:
-        where = f"line {reader.line_num + 1}"
+    for num, row in records:
+        where = f"line {num}"
         if len(row) != len(_EVENT_FIELDS):
             raise ConfigError(
                 f"{where}: {len(row)} fields, expected {len(_EVENT_FIELDS)}"

@@ -3,6 +3,7 @@
 import csv
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,32 @@ def _assert_digits(text, n):
     assert 10 ** (len(digits) - 1) <= n < 10 ** len(digits)
     assert int(digits[:50]) == n // 10 ** (len(digits) - 50)
     assert int(digits[-50:]) == n % 10**50
+
+
+@pytest.fixture(scope="module")
+def wide_log():
+    """A two-particle exact run whose right-moving massless particle has
+    energy (3**300000 + 1)/49, and its CSV text: four fields of 143,140
+    characters, over the csv module's default field size limit."""
+    E = Fraction(3**300000 + 1, 49)
+    start = rb.BilliardState(
+        (
+            rb.massless(E, 1, x=Fraction(0), label=0),
+            rb.massless(Fraction(1), -1, x=Fraction(1), label=1),
+        ),
+        Fraction(0),
+    )
+    _, log = rb.simulate(start, max_events=1)
+    return log, events_to_csv(log, "rational")
+
+
+def _quote_wide_field(text):
+    """``text`` with its first row's E_i_pre field in quotes."""
+    lines = text.splitlines()
+    row = lines[2].split(",")
+    row[5] = f'"{row[5]}"'
+    lines[2] = ",".join(row)
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, name, text):
@@ -196,6 +223,22 @@ class TestSimulateCommand:
         ).groups()
         _assert_digits(num, state.t.numerator)
         _assert_digits(den, state.t.denominator)
+
+    def test_fields_over_the_csv_field_limit(self, wide_log):
+        """A field wider than the csv module's field size limit reads back,
+        and the limit, which is process-wide, is left as it is. A quoted
+        field over it, which the csv module reads, is a ConfigError."""
+        log, text = wide_log
+        limit = csv.field_size_limit()
+        rows = text.splitlines()
+        assert max(len(f) for row in rows for f in row.split(",")) > limit
+        assert events_from_csv(text) == (log, "rational")
+        assert csv.field_size_limit() == limit
+        with pytest.raises(
+            rb.ConfigError, match="line 3: field larger than field limit"
+        ):
+            events_from_csv(_quote_wide_field(text))
+        assert csv.field_size_limit() == limit
 
     def test_mirror_columns_cycle(self, tmp_path):
         cfg = write(tmp_path, "s.ini", MIRROR_CYCLE)
@@ -511,6 +554,30 @@ class TestRenderCommand:
         assert rc == 1
         assert f"line {line}" in capsys.readouterr().err
         assert not (tmp_path / "spacetime.svg").exists()
+
+    def test_fields_over_the_csv_field_limit(self, tmp_path, capsys, wide_log):
+        _, text = wide_log
+        log = tmp_path / "events.csv"
+        log.write_text(text)
+        rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
+        assert rc == 0
+        svg = tmp_path / "spacetime.svg"
+        assert svg.read_text().count("<polyline") == 2
+        svg.unlink()
+        log.write_text(_quote_wide_field(text))
+        capsys.readouterr()
+        rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 3: field larger than field limit" in err
+        assert not svg.exists()
+
+    def test_log_without_header_is_validation_error(self, tmp_path, capsys):
+        log = tmp_path / "events.csv"
+        log.write_text("# relbilliards-events-v1 arithmetic=float\n")
+        rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unexpected column layout" in capsys.readouterr().err
 
     def test_deterministic_bytes(self):
         log = self._events()

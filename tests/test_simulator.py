@@ -1,11 +1,18 @@
 """Event-driven N-particle evolution: scheduling, stepping, reversibility."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relbilliards as rb
-from conftest import bradyon_gas, relative_error
+from conftest import any_particle, bradyon_gas, relative_error
+from relbilliards import simulator
+from test_golden_gas import _fraction_gas
 
 
 def _two_body(x1, v1, mu1, x2, v2, mu2, E1=1.0, E2=1.0):
@@ -188,6 +195,94 @@ class TestSimulate:
             rb.simulate(s, max_events=1)
 
 
+@st.composite
+def float_gases(draw):
+    """Float bradyon gases of 2 to 64 particles near 0 or 1e6. Each gap is
+    of order 1, or a few ulps wide with the pair closing at 1e-9 to 1e-7,
+    so that rounding moves its meeting time by a lot."""
+    n = draw(st.integers(2, 64))
+    rng = draw(st.randoms(use_true_random=False))
+    x = draw(st.sampled_from((0.0, 1e6)))
+    v = rng.uniform(-0.9, 0.9)
+    particles = []
+    for label in range(n):
+        if label and rng.random() < 0.3:
+            x += rng.randint(0, 16) * math.ulp(max(x, 1.0))
+            v -= rng.uniform(1e-9, 1e-7)
+        elif label:
+            x += rng.uniform(0.05, 2.0)
+            v = rng.uniform(-0.9, 0.9)
+        E = rng.uniform(0.5, 2.0)
+        P = E * v
+        particles.append(rb.ParticleState(E, P, E * E - P * P, x, label))
+    return rb.BilliardState(tuple(particles), 0.0)
+
+
+@st.composite
+def mixed_gases(draw):
+    """2 to 64 float particles of every species and energy sign."""
+    n = draw(st.integers(2, 64))
+    gaps = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    particles = []
+    x = 0.0
+    for label, gap in enumerate(gaps):
+        x += gap
+        p = draw(any_particle(label))
+        particles.append(replace(p, x=x))
+    return rb.BilliardState(tuple(particles), 0.0)
+
+
+@st.composite
+def runs(draw):
+    """A start state, a direction, an event budget and maybe a time limit."""
+    kind = draw(st.sampled_from(("float", "mixed", "fraction")))
+    if kind == "fraction":
+        seed, n = draw(st.integers(0, 999)), draw(st.integers(2, 8))
+        state = _fraction_gas(seed, n)
+        t_limit = Fraction(draw(st.integers(1, 40)), 8)
+    else:
+        state = draw(float_gases() if kind == "float" else mixed_gases())
+        t_limit = draw(st.floats(0.01, 10.0))
+    direction = draw(st.sampled_from(("forward", "backward")))
+    if direction == "backward":
+        t_limit = -t_limit
+    max_events = draw(st.integers(1, 12 if kind == "fraction" else 100))
+    return state, direction, max_events, draw(st.sampled_from((None, t_limit)))
+
+
+def _stepped(state, direction, max_events, t_limit):
+    """``simulate`` as chained ``step`` calls, each of which selects its
+    event by a scan of every pair. An error names its index in the run."""
+    sign = 1 if direction == "forward" else -1
+    events = []
+    while len(events) < max_events:
+        found = rb.next_collisions(state, direction)
+        if found and t_limit is not None:
+            if sign * found[0][1] >= sign * t_limit:  # at or past the limit
+                found = []
+        if not found:
+            if t_limit is not None:
+                state, _ = rb.simulate(state, direction, t_limit=t_limit)
+            break
+        try:
+            state, batch = rb.step(state, direction)
+        except rb.BilliardError as exc:
+            raise type(exc)(
+                str(exc).replace(
+                    "(at event index 0)", f"(at event index {len(events)})"
+                )
+            ) from exc
+        events.extend(batch)
+    return state, events
+
+
+def _outcome(run):
+    try:
+        return run()
+    except rb.BilliardError as exc:
+        return type(exc), str(exc)
+
+
 class TestStepMatchesSimulate:
     @pytest.mark.parametrize("num", [float, Fraction])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -206,6 +301,25 @@ class TestStepMatchesSimulate:
             events.extend(batch)
         assert len(events) == n  # one collision per event time
         assert rb.simulate(s0, direction, max_events=n) == (state, events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs())
+    def test_heap_matches_scan(self, run):
+        """With the heap serving every pair count, ``simulate`` gives the
+        result, or the error, of chained steps: float gases with rounding
+        that moves meeting times, mixed species, Fractions, both
+        directions, with and without a time limit."""
+        state, direction, max_events, t_limit = run
+        with patch.object(simulator, "_HEAP_MIN_PAIRS", 1):
+            expected = _outcome(
+                lambda: _stepped(state, direction, max_events, t_limit)
+            )
+            got = _outcome(
+                lambda: rb.simulate(
+                    state, direction, max_events=max_events, t_limit=t_limit
+                )
+            )
+        assert got == expected
 
 
 class TestObjectCost:
@@ -274,6 +388,29 @@ class TestObjectCost:
         assert built <= bound * len(log)
 
 
+class TestBackwardObjectCost:
+    def test_returned_state_built_once(self, monkeypatch):
+        """A backward run builds the reversal of the start state, each
+        returned particle once (in the caller's frame), and per collision
+        two particles before, two after and the reversal of all four."""
+        n = 512
+        state, _ = rb.simulate(bradyon_gas(7, n), max_events=50)
+        built = 0
+        unchecked = vars(rb.ParticleState)["_unchecked"].__func__
+
+        def counting(cls, *args):
+            nonlocal built
+            built += 1
+            return unchecked(cls, *args)
+
+        monkeypatch.setattr(
+            rb.ParticleState, "_unchecked", classmethod(counting)
+        )
+        _, log = rb.simulate(state, "backward", max_events=50)
+        assert len(log) >= 50
+        assert built <= 2 * n + 8 * len(log)
+
+
 class TestReversibility:
     def test_mirror_exact_rational(self):
         params, m0 = rb.mirror_initial(
@@ -324,6 +461,47 @@ class TestReversibility:
         assert back.t == s.t
         back2, _ = rb.step(back, "backward")
         assert back2.t < s.t
+
+
+class TestValidationErrors:
+    def test_bad_arguments_raise_a_named_error(self):
+        """Bad arguments raise ValidationError, which is also a ValueError."""
+        p = rb.ParticleState(1.0, 0.0, 1.0, 0.0, 0)
+        q = rb.ParticleState(1.0, 0.0, 1.0, -1.0, 1)
+        s = rb.BilliardState((q, p), 0.0)
+        calls = [
+            lambda: rb.ParticleState(1.0, 0.0, 2.0, 0.0, 0),
+            lambda: rb.massless(1.0, 0),
+            lambda: rb.BilliardState((p, q), 0.0),
+            lambda: rb.simulate(s, "sideways", max_events=1),
+            lambda: rb.simulate(s),
+            lambda: rb.simulate(s, t_limit=-1.0),
+            lambda: rb.tachyon_scale_bound(rb.MirrorParams(1.5, 1.0), -0.1),
+        ]
+        for call in calls:
+            with pytest.raises(rb.ValidationError):
+                call()
+        assert issubclass(rb.ValidationError, (rb.BilliardError, ValueError))
+
+    @pytest.mark.parametrize("heap_min_pairs", [1, 10**9])
+    def test_order_violation_inside_simulate(
+        self, monkeypatch, heap_min_pairs
+    ):
+        """Positions out of order after a collision surface as a
+        SimulationError naming the event, from the heap or the scan."""
+        resolve = simulator._resolve
+
+        def misplacing(ps, xs, vs, t, found):
+            events = resolve(ps, xs, vs, t, found)
+            (i, j), _ = found[0]
+            xs[i] = xs[j] + 1.0
+            return events
+
+        monkeypatch.setattr(simulator, "_resolve", misplacing)
+        monkeypatch.setattr(simulator, "_HEAP_MIN_PAIRS", heap_min_pairs)
+        message = r"^positions must be nondecreasing, .* \(at event index 0\)$"
+        with pytest.raises(rb.SimulationError, match=message):
+            rb.simulate(bradyon_gas(7, 64), max_events=5)
 
 
 class TestBilliardState:
