@@ -16,9 +16,10 @@ leaves with the opposite energy sign.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateCollisionError, NoCollisionError
+from .errors import DegenerateCollisionError, NoCollisionError, SimulationError
 from .kinematics import SigmaRho
 from .numeric import Number, near_zero
 
@@ -73,19 +74,38 @@ def _sign_flip(before: SigmaRho, after: SigmaRho) -> bool:
     return _opposite_signs(before.sigma + before.rho, after.sigma + after.rho)
 
 
+def _underflows(a: Number, b: Number) -> bool:
+    """Whether the float product of nonzero ``a`` and ``b`` is zero or
+    subnormal, so that it no longer tells unequal velocities apart."""
+    product = a * b
+    return (
+        type(product) is float
+        and abs(product) < sys.float_info.min
+        and a != 0
+        and b != 0
+    )
+
+
 def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
     """Resolve an elastic collision, always returning the non-identity solution.
 
     Raises NoCollisionError when the velocities are equal (the scheduler
-    should never have queued such a pair) and DegenerateCollisionError when
-    the pair's rest mass vanishes, since the outcome formulas divide by
-    both s and r.
+    should never have queued such a pair), SimulationError when a float
+    product of the collision condition underflowed instead, and
+    DegenerateCollisionError when the pair's rest mass vanishes, since the
+    outcome formulas divide by both s and r.
 
     Equal squared masses short-circuit to the coordinate swap
     sigma_i' = sigma_j etc., which is what the general formulas reduce to
     in that case but stays exact (and well defined) without divisions.
     """
     if not collision_condition(i, j):
+        if _underflows(i.sigma, j.rho) or _underflows(j.sigma, i.rho):
+            raise SimulationError(
+                "float underflow: a product sigma*rho of nonzero factors "
+                "fell below the float range, so the velocities cannot be "
+                "compared"
+            )
         raise NoCollisionError(
             "no collision: particles have equal velocities"
         )

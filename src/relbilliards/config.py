@@ -113,6 +113,22 @@ def _get(section, key: str, where: str) -> str:
     return section[key]
 
 
+def _number(section, key: str, where: str, arithmetic: str) -> Number:
+    """The required number ``key`` of the section named ``where``."""
+    text = _get(section, key, where)
+    return _parse_number(text, arithmetic, f"{where}.{key}")
+
+
+def _choice(key: str, value: str, allowed: tuple[str, ...]) -> str:
+    """``value`` of the scenario option ``key``; ConfigError unless it is
+    one of ``allowed``."""
+    if value not in allowed:
+        raise ConfigError(
+            f"scenario.{key}: expected one of {allowed}, got {value!r}"
+        )
+    return value
+
+
 def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
     """Parse and validate a scenario file's contents.
 
@@ -130,22 +146,12 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
         raise ConfigError("scenario: missing [scenario] section")
     sc = parser["scenario"]
 
-    mode = _get(sc, "mode", "scenario").strip()
-    if mode not in _MODES:
-        raise ConfigError(f"scenario.mode: expected one of {_MODES}, got {mode!r}")
+    mode = _choice("mode", _get(sc, "mode", "scenario").strip(), _MODES)
     if arithmetic is None:
         arithmetic = sc.get("arithmetic", "float").strip()
-    if arithmetic not in _ARITHMETICS:
-        raise ConfigError(
-            f"scenario.arithmetic: expected one of {_ARITHMETICS}, "
-            f"got {arithmetic!r}"
-        )
+    arithmetic = _choice("arithmetic", arithmetic, _ARITHMETICS)
     direction = sc.get("direction", "forward").strip()
-    if direction not in _DIRECTIONS:
-        raise ConfigError(
-            f"scenario.direction: expected one of {_DIRECTIONS}, "
-            f"got {direction!r}"
-        )
+    direction = _choice("direction", direction, _DIRECTIONS)
 
     max_events = None
     if "events" in sc:
@@ -172,30 +178,17 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
                 f"scenario.outputs: expected from {_OUTPUTS}, got {token!r}"
             )
 
+    particles, pair = (), None
     if mode == "general":
         particles = _parse_particles(parser, arithmetic)
-        return ScenarioConfig(
-            mode=mode,
-            arithmetic=arithmetic,
-            direction=direction,
-            max_events=max_events,
-            t_limit=t_limit,
-            outputs=outputs,
-            particles=particles,
-        )
-
-    if "mirror" not in parser:
+    elif "mirror" not in parser:
         raise ConfigError("mirror: missing [mirror] section")
-    ms = parser["mirror"]
-    mu = _parse_number(_get(ms, "mu", "mirror"), arithmetic, "mirror.mu")
-    e_total = _parse_number(
-        _get(ms, "E_total", "mirror"), arithmetic, "mirror.E_total"
-    )
-    sigma1 = _parse_number(
-        _get(ms, "sigma1", "mirror"), arithmetic, "mirror.sigma1"
-    )
-    x1 = _parse_number(_get(ms, "x1", "mirror"), arithmetic, "mirror.x1")
-    pair = mirror_initial(mu, e_total, sigma1, x1, t0=_zero(arithmetic))
+    else:
+        numbers = [
+            _number(parser["mirror"], key, "mirror", arithmetic)
+            for key in ("mu", "E_total", "sigma1", "x1")
+        ]
+        pair = mirror_initial(*numbers, t0=_zero(arithmetic))
     return ScenarioConfig(
         mode=mode,
         arithmetic=arithmetic,
@@ -203,6 +196,7 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
         max_events=max_events,
         t_limit=t_limit,
         outputs=outputs,
+        particles=particles,
         mirror=pair,
     )
 
@@ -232,9 +226,9 @@ def _parse_particles(
     for label, (_, name) in enumerate(sections):
         sec = parser[name]
         where = f"[{name}]"
-        E = _parse_number(_get(sec, "E", where), arithmetic, f"{where}.E")
-        mu = _parse_number(_get(sec, "mu", where), arithmetic, f"{where}.mu")
-        x = _parse_number(_get(sec, "x", where), arithmetic, f"{where}.x")
+        E, mu, x = (
+            _number(sec, key, where, arithmetic) for key in ("E", "mu", "x")
+        )
         if "P" in sec and "v" in sec:
             raise ConfigError(f"{where}: give P or v, not both")
         if "P" in sec:

@@ -13,6 +13,8 @@ would break output determinism).
 from __future__ import annotations
 
 from .errors import ConfigError
+from .numeric import Number
+from .serialize import _format_number
 from .simulator import CollisionEvent
 
 _PALETTE = (
@@ -37,7 +39,7 @@ def worldlines(
     if not events:
         raise ConfigError("empty event log: nothing to draw")
 
-    times = [float(e.t) for e in events]
+    times = [_float(e.t) for e in events]
     t_lo, t_hi = min(times), max(times)
     pad = _MARGIN * max(t_hi - t_lo, 1.0)
     t_start, t_end = t_lo - pad, t_hi + pad
@@ -49,11 +51,11 @@ def worldlines(
 
     lines: dict[int, list[tuple[float, float]]] = {}
     for label, evs in sorted(touched.items()):
-        evs = sorted(evs, key=lambda e: float(e.t))
+        evs = sorted(evs, key=lambda e: _float(e.t))
         first, last = evs[0], evs[-1]
-        v_in = float(_state_of(first, label, "pre").velocity)
-        v_out = float(_state_of(last, label, "post").velocity)
-        pts = [(float(e.t), float(e.x)) for e in evs]
+        v_in = _float(_state_of(first, label, "pre").velocity)
+        v_out = _float(_state_of(last, label, "post").velocity)
+        pts = [(_float(e.t), _float(e.x)) for e in evs]
         t0, x0 = pts[0]
         tn, xn = pts[-1]
         head = (t_start, x0 - v_in * (t0 - t_start))
@@ -61,9 +63,20 @@ def worldlines(
         lines[label] = [head] + pts + [tail]
 
     markers = [
-        (float(e.t), float(e.x)) for e in events if e.tachyonic
+        (_float(e.t), _float(e.x)) for e in events if e.tachyonic
     ]
     return lines, markers
+
+
+def _float(value: Number) -> float:
+    """``float(value)``, or a ConfigError naming a value (an exact number
+    from a rational log) beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"cannot draw {_format_number(value)}: out of float range"
+        ) from exc
 
 
 def _state_of(event: CollisionEvent, label: int, which: str):

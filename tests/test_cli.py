@@ -138,6 +138,171 @@ class TestConfigParsing:
             parse_config(bad)
 
 
+def _scenario(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+def _mirror(old, new):
+    return _scenario(MIRROR_CYCLE, old, new)
+
+
+def _general(old, new):
+    return _scenario(ZERO_ENERGY_COLLISION, old, new)
+
+
+class TestConfigMessages:
+    """The message of every rejection of a scenario, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "text, arithmetic, message",
+        [
+            (
+                _mirror("mu = 4", "mu = 4/x"),
+                "rational",
+                "mirror.mu: cannot parse number '4/x'",
+            ),
+            (
+                _mirror("x1 = -1", "x1 = left"),
+                None,
+                "mirror.x1: cannot parse number 'left'",
+            ),
+            (
+                "[scenario]\nevents = 1\n",
+                None,
+                "scenario: missing required key 'mode'",
+            ),
+            (
+                "events = 1\n",
+                None,
+                "malformed config: File contains no section headers.\n"
+                "file: '<string>', line: 1\n'events = 1\\n'",
+            ),
+            (
+                _mirror("mode = mirror", "mode = chaos"),
+                None,
+                "scenario.mode: expected one of ('general', 'mirror'), "
+                "got 'chaos'",
+            ),
+            (
+                _mirror("events = 30", "events = 30\narithmetic = decimal"),
+                None,
+                "scenario.arithmetic: expected one of ('float', 'rational'), "
+                "got 'decimal'",
+            ),
+            (
+                _mirror("events = 30", "events = 30\ndirection = sideways"),
+                None,
+                "scenario.direction: expected one of ('forward', 'backward'), "
+                "got 'sideways'",
+            ),
+            (
+                _mirror("events = 30", "events = many"),
+                None,
+                "scenario.events: expected an integer",
+            ),
+            (
+                _mirror("events = 30", "events = -1"),
+                None,
+                "scenario.events: must be nonnegative",
+            ),
+            (
+                _mirror("events = 30", "t_limit = soon"),
+                None,
+                "scenario.t_limit: cannot parse number 'soon'",
+            ),
+            (
+                _mirror("events = 30", "events = 30\noutputs = events, pdf"),
+                None,
+                "scenario.outputs: expected from ('events', 'svg'), got 'pdf'",
+            ),
+            (
+                "[scenario]\nmode = mirror\nevents = 30\n",
+                None,
+                "mirror: missing [mirror] section",
+            ),
+            (
+                _mirror("sigma1 = 1\n", ""),
+                None,
+                "mirror: missing required key 'sigma1'",
+            ),
+            (
+                _general("[particle 2]", "[particle two]"),
+                None,
+                "[particle two]: particle sections are named 'particle <int>'",
+            ),
+            (
+                ZERO_ENERGY_COLLISION.split("[particle 2]")[0],
+                None,
+                "general mode: need at least two particles",
+            ),
+            (
+                _general("v = -1", "v = -1\nP = 1"),
+                None,
+                "[particle 2]: give P or v, not both",
+            ),
+            (
+                _general("v = -1\n", ""),
+                None,
+                "[particle 2]: missing P (or v)",
+            ),
+            (
+                _general("x = 1\n", ""),
+                None,
+                "[particle 2]: missing required key 'x'",
+            ),
+            (
+                _general("E = -1", "E = minus one"),
+                None,
+                "[particle 2].E: cannot parse number 'minus one'",
+            ),
+            (
+                _general("mu = 1", "mu = 2"),
+                None,
+                "[particle 1]: particle 0: mu inconsistent with E, P "
+                "(drift -1.000e+00 at scale 3.000e+00)",
+            ),
+        ],
+        ids=[
+            "rational-number", "float-number", "missing-key", "malformed",
+            "mode", "arithmetic", "direction", "events-not-int",
+            "events-negative", "t_limit", "outputs", "no-mirror-section",
+            "missing-mirror-key", "particle-section-name", "one-particle",
+            "P-and-v", "no-P-or-v", "missing-particle-key",
+            "particle-number", "inconsistent-particle",
+        ],
+    )
+    def test_rejection_message(self, text, arithmetic, message):
+        with pytest.raises(rb.ConfigError) as exc:
+            parse_config(text, arithmetic=arithmetic)
+        assert str(exc.value) == message
+
+    def test_t_limit_parsed(self):
+        text = _mirror("events = 30", "t_limit = 2.5")
+        assert parse_config(text).t_limit == 2.5
+        assert parse_config(text, "rational").t_limit == Fraction(5, 2)
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("mirror", ZERO_ENERGY_COLLISION,
+             "mirror subcommand needs a mirror-mode config"),
+            ("mirror", _mirror("events = 30", "t_limit = 5"),
+             "mirror subcommand needs an events stop rule"),
+            ("cross-check", ZERO_ENERGY_COLLISION,
+             "cross-check needs a mirror-mode config"),
+            ("cross-check", _mirror("events = 30", "t_limit = 5"),
+             "cross-check needs an event count"),
+        ],
+        ids=["mirror-general", "mirror-t_limit", "cross-check-general",
+             "cross-check-t_limit"],
+    )
+    def test_subcommand_guards(self, tmp_path, capsys, command, text, message):
+        cfg = write(tmp_path, "s.ini", text)
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSimulateCommand:
     def test_zero_energy_collision_row(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.ini", ZERO_ENERGY_COLLISION)
@@ -571,6 +736,26 @@ class TestRenderCommand:
         err = capsys.readouterr().err
         assert "line 3: field larger than field limit" in err
         assert not svg.exists()
+
+    def test_value_beyond_float_range(self, tmp_path, capsys):
+        """A valid rational log of two massless particles meeting at
+        x = 10**400 cannot be drawn in floats: exit 1, naming the value."""
+        far = Fraction(10) ** 400
+        start = rb.BilliardState(
+            (
+                rb.massless(Fraction(1), 1, x=far - 1, label=0),
+                rb.massless(Fraction(1), -1, x=far + 1, label=1),
+            ),
+            Fraction(0),
+        )
+        _, events = rb.simulate(start, max_events=1)
+        log = tmp_path / "events.csv"
+        log.write_text(events_to_csv(events, "rational"))
+        rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot draw {10**400}: out of float range" in err
+        assert not (tmp_path / "spacetime.svg").exists()
 
     def test_log_without_header_is_validation_error(self, tmp_path, capsys):
         log = tmp_path / "events.csv"

@@ -1,6 +1,7 @@
 """Collision engine: the worked example, conservation, involution, swaps."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,64 @@ class TestResolveCollision:
         assert out.tachyonic == (out.s * out.r < 0)
         assert out.sign_flip_i == (i.energy * out.sr_i_after.energy < 0)
         assert out.sign_flip_j == (j.energy * out.sr_j_after.energy < 0)
+
+
+def _paper_species_gas(seed: int) -> rb.BilliardState:
+    """2 to 8 float bradyons and massless particles in [0, 10], with |E| in
+    [0.3, 2] of either sign."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    xs = sorted(rng.uniform(0, 10) for _ in range(n))
+    particles = []
+    for label, x in enumerate(xs):
+        E = rng.uniform(0.3, 2) * rng.choice((1, -1))
+        if rng.choice(("b", "m")) == "b":
+            v = rng.uniform(-0.9, 0.9)
+            p = rb.ParticleState(E, E * v, E * E - (E * v) ** 2, x, label)
+        else:
+            p = rb.massless(E, rng.choice((1, -1)), x=x, label=label)
+        particles.append(p)
+    return rb.BilliardState(tuple(particles), 0.0)
+
+
+class TestFloatUnderflow:
+    """A head-on pair whose energies fall near 1e-163 has products
+    sigma*rho of about 1e-325, which round to zero: the collision condition
+    then reads equal velocities, and the error says what happened."""
+
+    def test_subnormal_product_named(self):
+        i, j = rb.SigmaRho(2e-163, 0.0), rb.SigmaRho(0.0, 2e-163)
+        with pytest.raises(rb.SimulationError, match="^float underflow: "):
+            rb.resolve_collision(i, j)
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [
+            (rb.SigmaRho(1.0, 1.0), rb.SigmaRho(2.0, 2.0)),
+            (rb.SigmaRho(2.0, 0.0), rb.SigmaRho(4.0, 0.0)),  # zero factors
+            (rb.SigmaRho(1e-150, 1e-150), rb.SigmaRho(2e-150, 2e-150)),
+        ],
+    )
+    def test_equal_velocities_still_no_collision(self, i, j):
+        with pytest.raises(rb.NoCollisionError):
+            rb.resolve_collision(i, j)
+
+    @pytest.mark.parametrize(
+        "make, max_events, index",
+        [
+            (lambda: _paper_species_gas(365), 200, 169),
+            (lambda: _paper_species_gas(2864), 200, 166),
+            (
+                lambda: rb.billiard_from_mirror(
+                    *rb.mirror_initial(0.96, 1.0, 0.3, -1.0)
+                ),
+                3000,
+                2742,
+            ),
+        ],
+        ids=["gas-365", "gas-2864", "escaping-mirror"],
+    )
+    def test_runs_that_underflow(self, make, max_events, index):
+        message = rf"^float underflow: .* \(at event index {index}\)$"
+        with pytest.raises(rb.SimulationError, match=message):
+            rb.simulate(make(), max_events=max_events)

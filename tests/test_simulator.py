@@ -504,6 +504,57 @@ class TestValidationErrors:
             rb.simulate(bradyon_gas(7, 64), max_events=5)
 
 
+def _at(E, v, x, label):
+    return rb.ParticleState(E, E * v, E * E - (E * v) ** 2, x, label)
+
+
+def _scan_and_heap(run):
+    """The outcome of ``run`` with the default crossover, after checking
+    that the heap, forced at every pair count, gives the same one."""
+    scanned = _outcome(run)
+    with patch.object(simulator, "_HEAP_MIN_PAIRS", 1):
+        assert _outcome(run) == scanned
+    return scanned
+
+
+class TestContactSlack:
+    """Neighbours out of order by no more than rounding slack are in
+    contact: a closing pair meets at once, and a pair that does not close
+    is rechecked at every event, on the scan and the heap alike."""
+
+    def test_inverted_pair_that_closes(self):
+        state = rb.BilliardState(
+            (
+                _at(1.0, 0.5, 1.0, 0),
+                _at(1.0, -0.5, 1.0 - 1e-15, 1),
+                _at(1.0, -0.2, 3.0, 2),
+            ),
+            0.0,
+        )
+        final, log = _scan_and_heap(
+            lambda: rb.simulate(state, max_events=10)
+        )
+        assert len(log) == 2
+        assert (log[0].t, log[0].pair) == (0.0, (0, 1))  # meets at once
+
+    def test_inverted_pair_whose_slack_shrinks(self):
+        """Two particles 1e-10 out of order near x = 1000 move together
+        towards the origin until the gap exceeds the contact slack."""
+        mirror = rb.billiard_from_mirror(
+            *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
+        )
+        extra = (_at(1.0, -0.5, 1000.0, 4), _at(1.0, -0.5, 1000.0 - 1e-10, 5))
+        state = rb.BilliardState(mirror.particles + extra, mirror.t)
+        outcome = _scan_and_heap(
+            lambda: rb.simulate(state, max_events=3000)
+        )
+        assert outcome == (
+            rb.SimulationError,
+            "positions must be nondecreasing, got 48.11894237321053 > "
+            "48.118942373110485 (at event index 1423)",
+        )
+
+
 class TestBilliardState:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
