@@ -24,12 +24,13 @@ from .errors import (
     SimulationError,
     TripleCollisionError,
 )
+from .numeric import format_number, parse_number, repr_number
 from .render import render_spacetime
 from .scale import GRAVITY_M_PER_KG, estimate_tachyonic_scale
 from .serialize import (
-    _repr_number,
     events_from_csv,
     events_to_csv,
+    format_bool,
     mirror_trajectory_to_csv,
     write_atomic,
 )
@@ -69,7 +70,7 @@ def _run_simulate(args) -> int:
     text = events_to_csv(events, config.arithmetic, rows)
     out = os.path.join(args.out, "events.csv")
     write_atomic(out, text)
-    t = _repr_number(state.t)
+    t = repr_number(state.t)
     print(f"wrote {out} ({len(events)} events, final t = {t})")
     if "svg" in config.outputs:
         svg = render_spacetime(events)
@@ -131,18 +132,10 @@ def _run_period(args) -> int:
 
 
 def _parse_grid(text: str, name: str) -> list[float]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(float(token))
-        except ValueError as exc:
-            raise ConfigError(f"--{name}: bad number {token!r}") from exc
-    if not values:
+    tokens = [token for token in text.split(",") if token.strip()]
+    if not tokens:
         raise ConfigError(f"--{name}: empty grid")
-    return values
+    return [parse_number(token, "float", f"--{name}") for token in tokens]
 
 
 def _run_tachyon_scan(args) -> int:
@@ -161,12 +154,11 @@ def _run_tachyon_scan(args) -> int:
                 )
                 agrees = mr.census_agrees(label, count, consecutive)
                 disagreements += 0 if agrees else 1
-                lines.append(
-                    f"{mu!r},{e_total!r},{sigma1_0!r},{params.delta!r},"
-                    f"{label.value},{count},"
-                    f"{'true' if consecutive else 'false'},"
-                    f"{'true' if agrees else 'false'}"
-                )
+                numbers = (mu, e_total, sigma1_0, params.delta)
+                lines.append(",".join([
+                    *map(format_number, numbers), label.value, str(count),
+                    format_bool(consecutive), format_bool(agrees),
+                ]))
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(args.out, "tachyon_scan.csv")
@@ -222,6 +214,13 @@ def _count(text: str) -> int:
     )
 
 
+def _add_number(parser, flag: str, **kwargs) -> None:
+    """Add the float option ``flag``, read by ``parse_number``."""
+    parser.add_argument(
+        flag, type=lambda text: parse_number(text, "float", flag), **kwargs
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relbilliards")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,19 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[scenario],
         help="compare the full simulation against the reduced map",
     )
-    check.add_argument("--tol", type=float, default=1e-9)
+    _add_number(check, "--tol", default=1e-9)
     check.add_argument("--out")
     check.set_defaults(func=_run_cross_check)
 
     per = sub.add_parser(
         "period", help="detect rational rotation and report the orbit period"
     )
-    per.add_argument("--mu", type=float, required=True)
-    per.add_argument("--e-total", dest="e_total", type=float, required=True)
-    per.add_argument("--sigma1", type=float, required=True)
-    per.add_argument("--x1", type=float, required=True)
+    for flag in ("--mu", "--e-total", "--sigma1", "--x1"):
+        _add_number(per, flag, required=True)
     per.add_argument("--b-max", dest="b_max", type=_count, default=10_000)
-    per.add_argument("--tol", type=float, default=1e-9)
+    _add_number(per, "--tol", default=1e-9)
     per.set_defaults(func=_run_period)
 
     scan = sub.add_parser(
@@ -280,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser(
         "estimate", help="tachyonic length scale 2*G*m for a real mass"
     )
-    est.add_argument("--mass", type=float, required=True, help="mass in kg")
-    est.add_argument(
-        "--gravity", type=float, default=GRAVITY_M_PER_KG,
+    _add_number(est, "--mass", required=True, help="mass in kg")
+    _add_number(
+        est, "--gravity", default=GRAVITY_M_PER_KG,
         help="gravitational constant in m/kg (c = 1 units)",
     )
     est.set_defaults(func=_run_estimate)

@@ -41,7 +41,6 @@ exactly. ``outputs`` selects artifacts: "events" (default) and/or "svg".
 from __future__ import annotations
 
 import configparser
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,11 +48,10 @@ from typing import Optional
 from .errors import BilliardError, ConfigError
 from .kinematics import ParticleState
 from .mirror import MirrorParams, MirrorState, billiard_from_mirror, mirror_initial
-from .numeric import Number
+from .numeric import ARITHMETICS, Number, parse_number
 from .simulator import BilliardState
 
 _MODES = ("general", "mirror")
-_ARITHMETICS = ("float", "rational")
 _DIRECTIONS = ("forward", "backward")
 _OUTPUTS = ("events", "svg")
 
@@ -70,43 +68,6 @@ class ScenarioConfig:
     mirror: Optional[tuple[MirrorParams, MirrorState]] = None
 
 
-#: The ``p/q`` (or ``p``) spelling of a rational that ``serialize`` writes.
-_RATIO = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_number(text: str, arithmetic: str, where: str) -> Number:
-    text = text.strip()
-    try:
-        if arithmetic == "rational":
-            return _fraction(text)
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
-
-
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``, also for a ``p/q`` whose parts are over the
-    interpreter's limit on str-to-int conversion (left as it is)."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        match = _RATIO.fullmatch(text)
-        if match is None:
-            raise
-    sign, num, den = match.groups()
-    value = Fraction(_int(num), _int(den or "1"))
-    return -value if sign else value
-
-
-def _int(digits: str) -> int:
-    """``int(digits)`` for a string of decimal digits of any length."""
-    try:
-        return int(digits)
-    except ValueError:  # over the digit limit: convert in pieces under it
-        half = len(digits) // 2
-        return _int(digits[:-half]) * 10**half + _int(digits[-half:])
-
-
 def _get(section, key: str, where: str) -> str:
     if key not in section:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -116,7 +77,7 @@ def _get(section, key: str, where: str) -> str:
 def _number(section, key: str, where: str, arithmetic: str) -> Number:
     """The required number ``key`` of the section named ``where``."""
     text = _get(section, key, where)
-    return _parse_number(text, arithmetic, f"{where}.{key}")
+    return parse_number(text, arithmetic, f"{where}.{key}")
 
 
 def _choice(key: str, value: str, allowed: tuple[str, ...]) -> str:
@@ -149,7 +110,7 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
     mode = _choice("mode", _get(sc, "mode", "scenario").strip(), _MODES)
     if arithmetic is None:
         arithmetic = sc.get("arithmetic", "float").strip()
-    arithmetic = _choice("arithmetic", arithmetic, _ARITHMETICS)
+    arithmetic = _choice("arithmetic", arithmetic, ARITHMETICS)
     direction = sc.get("direction", "forward").strip()
     direction = _choice("direction", direction, _DIRECTIONS)
 
@@ -163,7 +124,7 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
             raise ConfigError("scenario.events: must be nonnegative")
     t_limit = None
     if "t_limit" in sc:
-        t_limit = _parse_number(sc["t_limit"], arithmetic, "scenario.t_limit")
+        t_limit = parse_number(sc["t_limit"], arithmetic, "scenario.t_limit")
     if max_events is None and t_limit is None:
         raise ConfigError("scenario: need an events or t_limit stop rule")
 
@@ -232,9 +193,9 @@ def _parse_particles(
         if "P" in sec and "v" in sec:
             raise ConfigError(f"{where}: give P or v, not both")
         if "P" in sec:
-            P = _parse_number(sec["P"], arithmetic, f"{where}.P")
+            P = parse_number(sec["P"], arithmetic, f"{where}.P")
         elif "v" in sec:
-            P = E * _parse_number(sec["v"], arithmetic, f"{where}.v")
+            P = E * parse_number(sec["v"], arithmetic, f"{where}.v")
         else:
             raise ConfigError(f"{where}: missing P (or v)")
         try:

@@ -464,8 +464,12 @@ def tachyonic_census(
     """Count tachyonic collisions over the orbit window [-steps, steps].
 
     Returns (count, consecutive) where ``consecutive`` reports whether the
-    hits form one run of adjacent collision indices.
+    hits form one run of adjacent collision indices. A ConfigError rejects
+    sigma1_0 = 0, where the inverse map has its pole, as ``mirror_initial``
+    does.
     """
+    if sigma1_0 == 0:
+        raise ConfigError("sigma1 must be nonzero")
     hits = []
     sigma = sigma1_0
     for n in range(steps + 1):

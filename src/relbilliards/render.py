@@ -13,8 +13,7 @@ would break output determinism).
 from __future__ import annotations
 
 from .errors import ConfigError
-from .numeric import Number
-from .serialize import _format_number
+from .numeric import Number, format_number
 from .simulator import CollisionEvent
 
 _PALETTE = (
@@ -75,7 +74,7 @@ def _float(value: Number) -> float:
         return float(value)
     except OverflowError as exc:
         raise ConfigError(
-            f"cannot draw {_format_number(value)}: out of float range"
+            f"cannot draw {format_number(value)}: out of float range"
         ) from exc
 
 

@@ -1,9 +1,13 @@
 """Event-log and trajectory serialization.
 
 CSV files start with a schema tag line (``# relbilliards-events-v1
-arithmetic=float``) followed by an ordinary header row. Floats are written
-with ``repr``, which round-trips bit-for-bit; rationals are written as
-``p/q`` strings. Parsing a file back reconstructs the event list exactly.
+arithmetic=float``) followed by an ordinary header row. Every number goes
+through the codec of ``numeric``: ``format_number`` writes a float with
+``repr``, which round-trips bit-for-bit, and a rational as a ``p/q``
+string of any length; ``parse_number`` reads each field back, a ConfigError
+naming its line and column if it is not a finite number. Parsing a file
+back reconstructs the event list exactly. ``format_bool`` writes the
+flags, also for the ``tachyon-scan`` rows of ``cli``.
 
 Files are written atomically (temp file + rename) so a crashed run never
 leaves a half-written artifact.
@@ -16,14 +20,12 @@ import io
 import itertools
 import os
 import tempfile
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .config import _ARITHMETICS, _parse_number
 from .errors import ConfigError
 from .kinematics import ParticleState
 from .mirror import MirrorState
-from .numeric import Number
+from .numeric import ARITHMETICS, Number, format_number, parse_number
 from .simulator import CollisionEvent
 
 EVENTS_SCHEMA = "relbilliards-events-v1"
@@ -42,42 +44,8 @@ _EVENT_FIELDS = [
 _MIRROR_FIELDS = ["n", "t", "sigma1", "E2", "x1", "k"]
 
 
-def _decimal(n: int) -> str:
-    """``str(n)`` for an int of any length. One over the interpreter's
-    limit on int-to-str conversion is written in pieces under the limit,
-    which is left as it is."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    if n < 0:
-        return "-" + _decimal(-n)
-    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
-    high, low = divmod(n, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
-
-
-def _repr_number(value: Number) -> str:
-    """``repr(value)``, also for a Fraction over the digit limit."""
-    try:
-        return repr(value)
-    except ValueError:
-        num, den = value.as_integer_ratio()
-        return f"Fraction({_decimal(num)}, {_decimal(den)})"
-
-
-def _format_number(value: Number) -> str:
-    if isinstance(value, Fraction):
-        try:
-            return str(value)
-        except ValueError:  # a part over the int-to-str digit limit
-            num, den = value.as_integer_ratio()
-            text = _decimal(num)
-            return text if den == 1 else f"{text}/{_decimal(den)}"
-    return repr(float(value))
-
-
-def _format_bool(value: bool) -> str:
+def format_bool(value: bool) -> str:
+    """The text form of a flag in files: ``true`` or ``false``."""
     return "true" if value else "false"
 
 
@@ -110,27 +78,27 @@ def events_to_csv(
         post_i, post_j = event.post
         row = [
             str(n),
-            _format_number(event.t),
+            format_number(event.t),
             str(event.pair[0]),
             str(event.pair[1]),
-            _format_number(event.x),
-            _format_number(pre_i.E), _format_number(pre_i.P),
-            _format_number(pre_i.mu),
-            _format_number(pre_j.E), _format_number(pre_j.P),
-            _format_number(pre_j.mu),
-            _format_number(post_i.E), _format_number(post_i.P),
-            _format_number(post_j.E), _format_number(post_j.P),
-            _format_bool(event.tachyonic),
-            _format_bool(event.sign_flips[0]),
-            _format_bool(event.sign_flips[1]),
+            format_number(event.x),
+            format_number(pre_i.E), format_number(pre_i.P),
+            format_number(pre_i.mu),
+            format_number(pre_j.E), format_number(pre_j.P),
+            format_number(pre_j.mu),
+            format_number(post_i.E), format_number(post_i.P),
+            format_number(post_j.E), format_number(post_j.P),
+            format_bool(event.tachyonic),
+            format_bool(event.sign_flips[0]),
+            format_bool(event.sign_flips[1]),
         ]
         if mirror_rows is not None:
             extra = mirror_rows[n]
             row += [
-                _format_number(extra["sigma1"]),
-                _format_number(extra["E2"]),
-                _format_number(extra["x1"]),
-                _format_number(extra["k"]),
+                format_number(extra["sigma1"]),
+                format_number(extra["E2"]),
+                format_number(extra["x1"]),
+                format_number(extra["k"]),
             ]
         else:
             row += ["", "", "", ""]
@@ -173,7 +141,7 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
     arithmetic = "float"
     if "arithmetic=" in lines[0]:
         arithmetic = lines[0].split("arithmetic=")[1].strip()
-    if arithmetic not in _ARITHMETICS:
+    if arithmetic not in ARITHMETICS:
         raise ConfigError(f"line 1: unknown arithmetic {arithmetic!r}")
     records = _records(lines[1:])
     _, header = next(records, (2, None))
@@ -190,9 +158,15 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         rec = dict(zip(_EVENT_FIELDS, row))
 
         def num(key):
-            return _parse_number(rec[key], arithmetic, f"{where}, {key}")
+            return parse_number(rec[key], arithmetic, f"{where}, {key}")
 
-        i, j = int(rec["i"]), int(rec["j"])
+        i = int(rec["i"]) if rec["i"].isdecimal() else -1
+        j = i + 1
+        if i < 0 or rec["j"] != str(j):
+            raise ConfigError(
+                f"{where}: expected adjacent indices i, i + 1, "
+                f"got ({rec['i']!r}, {rec['j']!r})"
+            )
         x = num("x")
 
         def state(E, P, mu, label):
@@ -237,11 +211,11 @@ def mirror_trajectory_to_csv(
     for s in states:
         writer.writerow([
             str(s.n),
-            _format_number(s.t),
-            _format_number(s.sigma1),
-            _format_number(s.E2),
-            _format_number(s.x1),
-            _format_number(k),
+            format_number(s.t),
+            format_number(s.sigma1),
+            format_number(s.E2),
+            format_number(s.x1),
+            format_number(k),
         ])
     return out.getvalue()
 

@@ -799,3 +799,110 @@ class TestRenderCommand:
     def test_empty_log_rejected(self):
         with pytest.raises(rb.ConfigError):
             render_spacetime([])
+
+
+def _damaged_log(tmp_path, **fields):
+    """A float log of the mu=4 mirror run whose first row has ``fields``
+    replaced."""
+    config = parse_config(MIRROR_CYCLE)
+    _, log = rb.simulate(initial_state(config), max_events=3)
+    lines = events_to_csv(log).splitlines()
+    header, row = lines[1].split(","), lines[2].split(",")
+    for key, value in fields.items():
+        row[header.index(key)] = value
+    lines[2] = ",".join(row)
+    return write(tmp_path, "events.csv", "\n".join(lines) + "\n")
+
+
+class TestInputAtTheEdge:
+    """A number that is not finite, or a malformed pair, in a scenario, a
+    log, a grid or an option: exit 1, and a message naming where."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                lambda tmp: ["simulate", "--out", str(tmp), "--config",
+                             write(tmp, "s.ini",
+                                   _general("E = 1", "E = nan"))],
+                "[particle 1].E: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, t="nan")],
+                "line 3, t: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, x="inf")],
+                "line 3, x: expected a finite number, got 'inf'",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, i="x")],
+                "line 3: expected adjacent indices i, i + 1, got ('x', '2')",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, i="7", j="9")],
+                "line 3: expected adjacent indices i, i + 1, got ('7', '9')",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, i="-1", j="0")],
+                "line 3: expected adjacent indices i, i + 1, got ('-1', '0')",
+            ),
+            (
+                lambda tmp: ["tachyon-scan", "--mu", "nan,1", "--e-total",
+                             "1", "--sigma1", "3", "--steps", "10"],
+                "--mu: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["tachyon-scan", "--mu", "1", "--e-total", "1",
+                             "--sigma1", "3,x"],
+                "--sigma1: cannot parse number 'x'",
+            ),
+            (
+                lambda tmp: ["tachyon-scan", "--mu", "1", "--e-total", "1",
+                             "--sigma1", "0"],
+                "sigma1 must be nonzero",
+            ),
+            (
+                lambda tmp: ["cross-check", "--events", "20", "--tol", "nan",
+                             "--config",
+                             write(tmp, "s.ini",
+                                   _mirror("mu = 4", "mu = 4.005"))],
+                "--tol: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["period", "--mu", "nan", "--e-total", "1",
+                             "--sigma1", "1", "--x1", "-1"],
+                "--mu: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["period", "--mu", "4", "--e-total", "1",
+                             "--sigma1", "1", "--x1=-1e999"],
+                "--x1: expected a finite number, got '-1e999'",
+            ),
+            (
+                lambda tmp: ["estimate", "--mass", "inf"],
+                "--mass: expected a finite number, got 'inf'",
+            ),
+            (
+                lambda tmp: ["estimate", "--mass", "1", "--gravity", "g"],
+                "--gravity: cannot parse number 'g'",
+            ),
+        ],
+        ids=[
+            "ini-nan", "csv-t-nan", "csv-x-inf", "csv-i-not-int",
+            "csv-pair-not-adjacent", "csv-pair-negative", "grid-nan",
+            "grid-word", "grid-sigma1-zero", "cross-check-tol-nan",
+            "period-mu-nan", "period-x1-overflow", "estimate-mass-inf",
+            "estimate-gravity-word",
+        ],
+    )
+    def test_rejected(self, tmp_path, capsys, argv, message):
+        assert main(argv(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "spacetime.svg").exists()
