@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -49,7 +50,16 @@ _DEGENERATE = (
 )
 
 
+#: An argument that is a negative number, not an option. argparse's own
+#: pattern takes ``-1e-3`` for an option; this one also reads exponents.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with code 2 on usage errors; keep 2 for degeneracies
     def error(self, message):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")

@@ -24,15 +24,21 @@ from .kinematics import SigmaRho
 from .numeric import Number, near_zero
 
 
+def _distinct_velocities(
+    sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
+) -> bool:
+    a = sigma_i * rho_j
+    b = sigma_j * rho_i
+    return not near_zero(a - b, a, b)
+
+
 def collision_condition(i: SigmaRho, j: SigmaRho) -> bool:
     """True iff the two particles have different velocities.
 
     Evaluated as sigma_i*rho_j - sigma_j*rho_i != 0, which avoids the
     divisions in v = P/E and is exact in rational mode.
     """
-    a = i.sigma * j.rho
-    b = j.sigma * i.rho
-    return not near_zero(a - b, a, b)
+    return _distinct_velocities(i.sigma, i.rho, j.sigma, j.rho)
 
 
 def rest_mass_squared(i: SigmaRho, j: SigmaRho) -> Number:
@@ -69,11 +75,6 @@ def _opposite_signs(a: Number, b: Number) -> bool:
     return a < 0 < b or b < 0 < a
 
 
-def _sign_flip(before: SigmaRho, after: SigmaRho) -> bool:
-    """Whether the energy (sigma + rho)/2 changes sign."""
-    return _opposite_signs(before.sigma + before.rho, after.sigma + after.rho)
-
-
 def _underflows(a: Number, b: Number) -> bool:
     """Whether the float product of nonzero ``a`` and ``b`` is zero or
     subnormal, so that it no longer tells unequal velocities apart."""
@@ -83,6 +84,52 @@ def _underflows(a: Number, b: Number) -> bool:
         and abs(product) < sys.float_info.min
         and a != 0
         and b != 0
+    )
+
+
+def collide(
+    sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
+) -> tuple[Number, Number, Number, Number, Number, Number, bool, bool, bool]:
+    """The collision rule on plain numbers, for the event loop: the pair's
+    light-cone coordinates in; ``(sigma_i', rho_i', sigma_j', rho_j', s, r,
+    tachyonic, sign_flip_i, sign_flip_j)`` out. ``resolve_collision``
+    documents the rule, its flags and its errors."""
+    if not _distinct_velocities(sigma_i, rho_i, sigma_j, rho_j):
+        if _underflows(sigma_i, rho_j) or _underflows(sigma_j, rho_i):
+            raise SimulationError(
+                "float underflow: a product sigma*rho of nonzero factors "
+                "fell below the float range, so the velocities cannot be "
+                "compared"
+            )
+        raise NoCollisionError(
+            "no collision: particles have equal velocities"
+        )
+
+    s = sigma_i + sigma_j
+    r = rho_i + rho_j
+    if sigma_i * rho_i == sigma_j * rho_j:
+        sigma_i2, rho_i2, sigma_j2, rho_j2 = sigma_j, rho_j, sigma_i, rho_i
+    else:
+        if near_zero(s, sigma_i, sigma_j) or near_zero(r, rho_i, rho_j):
+            raise DegenerateCollisionError(
+                "degenerate collision (s*r = 0): zero rest mass pair"
+            )
+        sr_ratio = s / r
+        rs_ratio = r / s
+        sigma_i2, rho_i2 = rho_i * sr_ratio, sigma_i * rs_ratio
+        sigma_j2, rho_j2 = rho_j * sr_ratio, sigma_j * rs_ratio
+
+    # each flag compares the energies (sigma + rho)/2 before and after
+    return (
+        sigma_i2,
+        rho_i2,
+        sigma_j2,
+        rho_j2,
+        s,
+        r,
+        _opposite_signs(s, r),
+        _opposite_signs(sigma_i + rho_i, sigma_i2 + rho_i2),
+        _opposite_signs(sigma_j + rho_j, sigma_j2 + rho_j2),
     )
 
 
@@ -99,41 +146,9 @@ def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
     sigma_i' = sigma_j etc., which is what the general formulas reduce to
     in that case but stays exact (and well defined) without divisions.
     """
-    if not collision_condition(i, j):
-        if _underflows(i.sigma, j.rho) or _underflows(j.sigma, i.rho):
-            raise SimulationError(
-                "float underflow: a product sigma*rho of nonzero factors "
-                "fell below the float range, so the velocities cannot be "
-                "compared"
-            )
-        raise NoCollisionError(
-            "no collision: particles have equal velocities"
-        )
-
-    s = i.sigma + j.sigma
-    r = i.rho + j.rho
-    mu_i = i.sigma * i.rho
-    mu_j = j.sigma * j.rho
-
-    if mu_i == mu_j:
-        after_i = SigmaRho(j.sigma, j.rho)
-        after_j = SigmaRho(i.sigma, i.rho)
-    else:
-        if near_zero(s, i.sigma, j.sigma) or near_zero(r, i.rho, j.rho):
-            raise DegenerateCollisionError(
-                "degenerate collision (s*r = 0): zero rest mass pair"
-            )
-        sr_ratio = s / r
-        rs_ratio = r / s
-        after_i = SigmaRho(i.rho * sr_ratio, i.sigma * rs_ratio)
-        after_j = SigmaRho(j.rho * sr_ratio, j.sigma * rs_ratio)
-
+    sigma_i, rho_i, sigma_j, rho_j, *rest = collide(
+        i.sigma, i.rho, j.sigma, j.rho
+    )
     return CollisionOutcome(
-        sr_i_after=after_i,
-        sr_j_after=after_j,
-        s=s,
-        r=r,
-        tachyonic=_opposite_signs(s, r),
-        sign_flip_i=_sign_flip(i, after_i),
-        sign_flip_j=_sign_flip(j, after_j),
+        SigmaRho(sigma_i, rho_i), SigmaRho(sigma_j, rho_j), *rest
     )

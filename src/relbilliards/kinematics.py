@@ -113,23 +113,25 @@ class ParticleState:
             raise ZeroEnergyError(
                 f"particle {self.label}: energy must be nonzero"
             )
-        E, P = self.E, self.P
+        E, P, mu = self.E, self.P, self.mu
         # E**2 - P**2 - mu as sigma*rho - mu: the same exact value from
         # smaller products. Floats take the drift in mass_drift's order.
-        drift = (E - P) * (E + P) - self.mu
-        if is_exact(drift):
-            if drift != 0:
-                raise ValidationError(
-                    f"particle {self.label}: mu != E**2 - P**2 (off by {drift})"
-                )
-        else:
-            drift = self.mass_drift()
-            scale = float(E * E + P * P + abs(self.mu))
-            if abs(float(drift)) > drift_tol * scale:
-                raise ValidationError(
-                    f"particle {self.label}: mu inconsistent with E, P "
-                    f"(drift {float(drift):.3e} at scale {scale:.3e})"
-                )
+        if float not in (type(E), type(P), type(mu)):
+            drift = (E - P) * (E + P) - mu
+            if is_exact(drift):
+                if drift != 0:
+                    raise ValidationError(
+                        f"particle {self.label}: mu != E**2 - P**2 "
+                        f"(off by {drift})"
+                    )
+                return
+        drift = self.mass_drift()
+        scale = float(E * E + P * P + abs(mu))
+        if abs(float(drift)) > drift_tol * scale:
+            raise ValidationError(
+                f"particle {self.label}: mu inconsistent with E, P "
+                f"(drift {float(drift):.3e} at scale {scale:.3e})"
+            )
 
     @classmethod
     def _unchecked(

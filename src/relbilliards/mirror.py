@@ -88,8 +88,9 @@ class TachyonicCount(Enum):
     NONE = "none"
 
 
-def _check_pole(sigma: Number, params: MirrorParams) -> Number:
-    two_e = 2 * params.E_total
+def _check_pole(sigma: Number, two_e: Number) -> Number:
+    """The reduced map's denominator ``two_e - sigma``, where ``two_e`` is
+    2*E_total; PoleError where it vanishes."""
     denom = two_e - sigma
     if near_zero(denom, two_e, sigma):
         raise PoleError(
@@ -100,7 +101,13 @@ def _check_pole(sigma: Number, params: MirrorParams) -> Number:
 
 def reduced_map(sigma: Number, params: MirrorParams) -> Number:
     """One collision of particle 1: sigma -> mu / (2*E_total - sigma)."""
-    return params.mu / _check_pole(sigma, params)
+    return params.mu / _check_pole(sigma, 2 * params.E_total)
+
+
+def _inverse(sigma: Number, two_e: Number, mu: Number) -> Number:
+    if sigma == 0:
+        raise PoleError("inverse map undefined at sigma = 0")
+    return two_e - mu / sigma
 
 
 def inverse_map(sigma: Number, params: MirrorParams) -> Number:
@@ -109,9 +116,7 @@ def inverse_map(sigma: Number, params: MirrorParams) -> Number:
     Only sigma exactly zero is a pole; a tiny nonzero sigma has a huge but
     perfectly well-defined preimage (the previous collision was far away).
     """
-    if sigma == 0:
-        raise PoleError("inverse map undefined at sigma = 0")
-    return 2 * params.E_total - params.mu / sigma
+    return _inverse(sigma, 2 * params.E_total, params.mu)
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def _conjugacy_pair(params: MirrorParams) -> tuple[complex, complex]:
 def e2_update(E2: Number, sigma1: Number, params: MirrorParams) -> Number:
     """Inner-particle energy across one collision:
     E2 -> E2 * sigma1 / (2*E_total - sigma1)."""
-    return E2 * sigma1 / _check_pole(sigma1, params)
+    return E2 * sigma1 / _check_pole(sigma1, 2 * params.E_total)
 
 
 def x1_update(x1: Number, sigma1: Number, params: MirrorParams) -> Number:
@@ -264,15 +269,16 @@ def reduced_trajectory(
             f"initial state violates the energy split (residual {res!r})"
         )
 
+    two_e, mu = 2 * params.E_total, params.mu
     forward: list[MirrorState] = [initial]
     state = initial
     for _ in range(n_forward):
         try:
-            denom = _check_pole(state.sigma1, params)
+            denom = _check_pole(state.sigma1, two_e)
         except PoleError as exc:
             raise PoleError(f"{exc} (at collision index {state.n})") from exc
         # reduced_map and e2_update, over one pole check
-        sigma_next = params.mu / denom
+        sigma_next = mu / denom
         e2_next = state.E2 * state.sigma1 / denom
         x1_next = x1_update(state.x1, state.sigma1, params)
         tau = -state.x1 - x1_next
@@ -289,7 +295,7 @@ def reduced_trajectory(
     state = initial
     for _ in range(n_backward):
         try:
-            sigma_prev = inverse_map(state.sigma1, params)
+            sigma_prev = _inverse(state.sigma1, two_e, mu)
         except PoleError as exc:
             raise PoleError(f"{exc} (at collision index {state.n})") from exc
         if sigma_prev == 0:
@@ -297,8 +303,8 @@ def reduced_trajectory(
                 f"backward orbit reached sigma = 0 at collision index "
                 f"{state.n - 1}"
             )
-        x1_prev = state.x1 * sigma_prev * sigma_prev / params.mu
-        e2_prev = state.E2 * (2 * params.E_total - sigma_prev) / sigma_prev
+        x1_prev = state.x1 * sigma_prev * sigma_prev / mu
+        e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
         tau = -x1_prev - state.x1
         state = MirrorState(
             n=state.n - 1,
@@ -433,10 +439,14 @@ def _confirm_cycle(params: MirrorParams, b: int) -> bool:
     return False
 
 
+def _tachyonic(sigma1: Number, two_e: Number) -> bool:
+    return sigma1 * (sigma1 - two_e) > 0
+
+
 def tachyonic_predicate(sigma1: Number, params: MirrorParams) -> bool:
     """Whether the collision entered with this sigma1 is tachyonic:
     0 < sigma1 * (sigma1 - 2*E_total) (strict; the boundary is not)."""
-    return sigma1 * (sigma1 - 2 * params.E_total) > 0
+    return _tachyonic(sigma1, 2 * params.E_total)
 
 
 def classify_tachyonic(
@@ -470,17 +480,17 @@ def tachyonic_census(
     """
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")
-    hits = []
-    sigma = sigma1_0
-    for n in range(steps + 1):
-        if tachyonic_predicate(sigma, params):
-            hits.append(n)
-        if n < steps:
-            sigma = reduced_map(sigma, params)
+    two_e, mu = 2 * params.E_total, params.mu
+    hits = [0] if _tachyonic(sigma1_0, two_e) else []
     sigma = sigma1_0
     for n in range(1, steps + 1):
-        sigma = inverse_map(sigma, params)
-        if tachyonic_predicate(sigma, params):
+        sigma = mu / _check_pole(sigma, two_e)  # reduced_map
+        if _tachyonic(sigma, two_e):
+            hits.append(n)
+    sigma = sigma1_0
+    for n in range(1, steps + 1):
+        sigma = _inverse(sigma, two_e, mu)
+        if _tachyonic(sigma, two_e):
             hits.append(-n)
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))

@@ -49,7 +49,7 @@ def near_zero(value: Number, *terms: Number) -> bool:
     Exact values compare exactly; floats use ``|value| <= REL_TOL * scale``
     with ``scale = |terms[0]| + |terms[1]| + ...``.
     """
-    if is_exact(value):
+    if type(value) is not float and is_exact(value):
         return value == 0
     return abs(value) <= REL_TOL * float(sum(map(abs, terms)))
 
@@ -98,6 +98,8 @@ def _fraction(text: str) -> Fraction:
 def format_number(value: Number) -> str:
     """``value`` as written to files: ``repr`` of its float, which reads
     back bit for bit, or ``p/q`` (``p``) for a Fraction of any length."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, Fraction):
         num, den = value.as_integer_ratio()
         text = _decimal(num)

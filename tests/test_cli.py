@@ -607,6 +607,28 @@ class TestPeriodCommand:
                    "--sigma1", "1", "--x1", "-1"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (
+                ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+                 "--x1", "-1e-3"],
+                "b=3, a=1, T=0.012;",
+            ),
+            (
+                ["tachyon-scan", "--mu", "1", "--e-total", "-1e-3",
+                 "--sigma1", "-2E+0", "--steps", "10"],
+                "\n1.0,-0.001,-2.0,",
+            ),
+        ],
+        ids=["period", "tachyon-scan"],
+    )
+    def test_negative_exponent_is_a_value(self, capsys, argv, out):
+        """``-1e-3`` after an option is its value, as ``-1`` and ``-0.5``
+        are, not an unknown option."""
+        assert main(argv) == 0
+        assert out in capsys.readouterr().out
+
 
 class TestTachyonScanCommand:
     def test_classifications_with_counts(self, tmp_path):
@@ -685,7 +707,7 @@ class TestRenderCommand:
         assert svg.count("<polyline") == 4
 
     @pytest.mark.parametrize(
-        "arithmetic, damage, line",
+        "arithmetic, damage, where",
         [
             # a zero denominator in the first row's event time
             (
@@ -693,21 +715,29 @@ class TestRenderCommand:
                 lambda rows: rows[:2]
                 + ["0,1/0," + rows[2].split(",", 2)[2]]
                 + rows[3:],
-                3,
+                "line 3, t: ",
             ),
             # a row with only 4 fields
-            ("float", lambda rows: rows + ["3,1.0,0,1"], 6),
+            ("float", lambda rows: rows + ["3,1.0,0,1"], "line 6: "),
             # an arithmetic tag the reader does not know
             (
                 "float",
                 lambda rows: [rows[0].replace("float", "decimal")] + rows[1:],
-                1,
+                "line 1: ",
+            ),
+            # a flag that is neither true nor false
+            (
+                "float",
+                lambda rows: rows[:3]
+                + [re.sub(r",(true|false),", ",maybe,", rows[3], count=1)]
+                + rows[4:],
+                "line 4, tachyonic: expected boolean, got 'maybe'",
             ),
         ],
-        ids=["zero-denominator", "short-row", "decimal-tag"],
+        ids=["zero-denominator", "short-row", "decimal-tag", "bad-flag"],
     )
     def test_malformed_log_is_validation_error(
-        self, tmp_path, capsys, arithmetic, damage, line
+        self, tmp_path, capsys, arithmetic, damage, where
     ):
         config = MIRROR_CYCLE.replace(
             "events = 30", f"events = 30\narithmetic = {arithmetic}"
@@ -717,7 +747,7 @@ class TestRenderCommand:
         log.write_text("\n".join(damage(rows)) + "\n")
         rc = main(["render", "--log", str(log), "--out", str(tmp_path)])
         assert rc == 1
-        assert f"line {line}" in capsys.readouterr().err
+        assert where in capsys.readouterr().err
         assert not (tmp_path / "spacetime.svg").exists()
 
     def test_fields_over_the_csv_field_limit(self, tmp_path, capsys, wide_log):

@@ -2,10 +2,13 @@
 input is named, and no module reaches into another's private names."""
 
 import ast
+import csv
+import io
 import pathlib
 import struct
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,11 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from relbilliards.numeric import format_number, parse_number, repr_number
+from relbilliards.serialize import (
+    events_to_csv,
+    format_bool,
+    mirror_trajectory_to_csv,
+)
 
 SRC = pathlib.Path(rb.__file__).parent
 
@@ -35,6 +43,10 @@ fractions = st.one_of(
     st.builds(Fraction, huge_ints, huge_ints.map(abs)),
     st.builds(Fraction, huge_ints),
     st.builds(Fraction, st.integers(-99, 99), huge_ints.map(abs)),
+)
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), fractions
 )
 
 
@@ -135,3 +147,122 @@ def _private_imports() -> list[str]:
 
 def test_no_private_cross_module_imports():
     assert _private_imports() == []
+
+
+def _csv_writer_text(tag: str, header: list[str], rows) -> str:
+    """The tag line, then ``header`` and ``rows`` as ``csv.writer`` writes
+    them: the reference for the comma-joined rows of ``serialize``."""
+    out = io.StringIO()
+    out.write(f"# {tag}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _event(n: int, values: list, flags: list[bool]):
+    """A log record with the 12 numbers ``events_to_csv`` writes, in column
+    order, and its 3 flags."""
+    t, x, *v = values
+    pre = (
+        SimpleNamespace(E=v[0], P=v[1], mu=v[2]),
+        SimpleNamespace(E=v[3], P=v[4], mu=v[5]),
+    )
+    post = (SimpleNamespace(E=v[6], P=v[7]), SimpleNamespace(E=v[8], P=v[9]))
+    return SimpleNamespace(
+        t=t, pair=(n, n + 1), x=x, pre=pre, post=post,
+        tachyonic=flags[0], sign_flips=(flags[1], flags[2]),
+    )
+
+
+#: Floats at the ends of the range and rationals over the digit limit.
+_EDGE_NUMBERS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max, 0.1,
+    Fraction(3**9100, 7**5200), Fraction(-(10**4400) - 1), Fraction(-1, 3),
+]
+
+
+class TestCsvRows:
+    """``events_to_csv`` and ``mirror_trajectory_to_csv`` join each row's
+    fields with commas. The text must be what ``csv.writer`` writes for
+    the same fields, which would quote a field holding a comma, a quote
+    or a line break."""
+
+    def _check_events(self, rows, mirror_rows):
+        events = [
+            _event(n, values, flags) for n, (values, flags) in enumerate(rows)
+        ]
+        fields = [
+            [str(n), format_number(values[0]), str(n), str(n + 1),
+             *map(format_number, values[1:]), *map(format_bool, flags)]
+            + (
+                ["", "", "", ""] if mirror_rows is None
+                else [format_number(mirror_rows[n][key])
+                      for key in ("sigma1", "E2", "x1", "k")]
+            )
+            for n, (values, flags) in enumerate(rows)
+        ]
+        header = events_to_csv([]).splitlines()[1].split(",")
+        expected = _csv_writer_text(
+            "relbilliards-events-v1 arithmetic=rational", header, fields
+        )
+        assert events_to_csv(events, "rational", mirror_rows) == expected
+
+    def _check_mirror(self, rows, k):
+        states = [
+            rb.MirrorState(n, sigma1, E2, x1, t)
+            for n, (t, sigma1, E2, x1) in enumerate(rows)
+        ]
+        fields = [
+            [str(n), *map(format_number, row), format_number(k)]
+            for n, row in enumerate(rows)
+        ]
+        expected = _csv_writer_text(
+            "relbilliards-mirror-v1 arithmetic=float",
+            ["n", "t", "sigma1", "E2", "x1", "k"],
+            fields,
+        )
+        assert mirror_trajectory_to_csv(states, k) == expected
+
+    @pytest.mark.parametrize("with_mirror", [False, True])
+    def test_edge_numbers(self, with_mirror):
+        pool = _EDGE_NUMBERS * 2
+        rows = [
+            (pool[n : n + 12], [n % 2 == 0, n % 3 == 0, n % 5 == 0])
+            for n in range(len(_EDGE_NUMBERS))
+        ]
+        mirror_rows = None
+        if with_mirror:
+            mirror_rows = [
+                dict(zip(("sigma1", "E2", "x1", "k"), pool[n + 3 : n + 7]))
+                for n in range(len(rows))
+            ]
+        self._check_events(rows, mirror_rows)
+        quads = [pool[n : n + 4] for n in range(len(_EDGE_NUMBERS))]
+        for k in _EDGE_NUMBERS:
+            self._check_mirror(quads, k)
+
+    def test_empty(self):
+        self._check_events([], None)
+        self._check_mirror([], 1.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(numbers, min_size=12, max_size=12),
+                st.lists(st.booleans(), min_size=3, max_size=3),
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_any_numbers(self, rows, with_mirror):
+        mirror_rows = None
+        if with_mirror:
+            mirror_rows = [
+                dict(zip(("sigma1", "E2", "x1", "k"), values[-4:]))
+                for values, _ in rows
+            ]
+        self._check_events(rows, mirror_rows)
+        self._check_mirror([values[:4] for values, _ in rows], 2.5)

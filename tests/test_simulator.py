@@ -387,6 +387,26 @@ class TestObjectCost:
         assert len(log) == 300
         assert built <= bound * len(log)
 
+    def test_no_collision_records_in_float_loop(self, monkeypatch):
+        """The event loop resolves collisions on plain numbers: a float
+        mirror run of 300 events builds no SigmaRho and no
+        CollisionOutcome."""
+        start = rb.billiard_from_mirror(
+            *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
+        )
+        built = []
+        for cls in (rb.SigmaRho, rb.CollisionOutcome):
+            init = vars(cls)["__init__"]
+
+            def counting(self, *args, init=init, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        _, log = rb.simulate(start, max_events=300)
+        assert len(log) == 300
+        assert built == []
+
 
 class TestBackwardObjectCost:
     def test_returned_state_built_once(self, monkeypatch):
