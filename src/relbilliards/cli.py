@@ -50,9 +50,12 @@ _DEGENERATE = (
 )
 
 
-#: An argument that is a negative number, not an option. argparse's own
-#: pattern takes ``-1e-3`` for an option; this one also reads exponents.
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+#: An argument that is a negative number, or a grid of numbers whose first
+#: one is negative, not an option. argparse's own pattern takes ``-1e-3``
+#: and ``-3,-0.7`` for options; this one also reads exponents and grids.
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:,\s*[-+]?{_NUMBER})*$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,6 +227,16 @@ def _count(text: str) -> int:
     )
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a finite number >= 0."""
+    tol = parse_number(text, "float", "--tol")
+    if tol < 0:
+        raise ConfigError(
+            f"--tol: expected a nonnegative number, got {text!r}"
+        )
+    return tol
+
+
 def _add_number(parser, flag: str, **kwargs) -> None:
     """Add the float option ``flag``, read by ``parse_number``."""
     parser.add_argument(
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[scenario],
         help="compare the full simulation against the reduced map",
     )
-    _add_number(check, "--tol", default=1e-9)
+    check.add_argument("--tol", type=_tolerance, default=1e-9)
     check.add_argument("--out")
     check.set_defaults(func=_run_cross_check)
 
@@ -270,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--mu", "--e-total", "--sigma1", "--x1"):
         _add_number(per, flag, required=True)
     per.add_argument("--b-max", dest="b_max", type=_count, default=10_000)
-    _add_number(per, "--tol", default=1e-9)
+    per.add_argument("--tol", type=_tolerance, default=1e-9)
     per.set_defaults(func=_run_period)
 
     scan = sub.add_parser(

@@ -14,8 +14,11 @@ The scheduler only runs forward. A run of many pairs picks each event from
 a binary heap of pair meeting times and refreshes only the pairs next to a
 collision; a run of few pairs scans all of them at every event. Both read
 each pair through one rule (``_flights``) and give the same events, bit
-for bit. ``_forward_frame`` maps a backward call into the time-reversed
-frame (every momentum and the clock negated) and its result back. The
+for bit. A backward run is the forward run of the time-reversed frame: it
+negates the start time, every velocity and ``t_limit`` once, on entry
+(``_frame``). Its particles stay in the caller's frame, where time
+reversal swaps sigma and rho, so ``_resolve`` hands the swapped pair to
+the collision law and writes its events in the caller's frame. The
 collision law is symmetric under that reversal, so a forward run followed
 by a backward run of the same length retraces itself (exactly in rational
 mode).
@@ -26,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
@@ -102,26 +105,17 @@ class CollisionEvent:
     sign_flips: tuple[bool, bool]
 
 
-def _time_reversed(value):
-    """Time-reversal image of a state, an event, particles or a time."""
-    if isinstance(value, BilliardState):
-        return BilliardState(_time_reversed(value.particles), -value.t)
-    if isinstance(value, CollisionEvent):
-        pre, post = _time_reversed(value.pre), _time_reversed(value.post)
-        return replace(value, t=-value.t, pre=pre, post=post)
-    if isinstance(value, tuple):
-        return tuple(p.momentum_reversed() for p in value)
-    return -value
-
-
-def _forward_frame(state: BilliardState, direction: Direction):
-    """``state`` in the frame where ``direction`` runs forward, and the map
-    that takes results back out of it (reversal is its own inverse)."""
+def _frame(state: BilliardState, direction: Direction):
+    """Whether ``direction`` is backward, and the time, positions and
+    velocities of ``state`` in the frame where it runs forward: time
+    reversal negates the clock and every velocity."""
+    ps = state.particles
+    xs = [p.x for p in ps]
     if direction == "forward":
-        return state, lambda value: value
+        return False, state.t, xs, [p.velocity for p in ps]
     if direction != "backward":
         raise ValidationError(f"unknown direction {direction!r}")
-    return _time_reversed(state), _time_reversed
+    return True, -state.t, xs, [-p.velocity for p in ps]
 
 
 def _flights(
@@ -361,10 +355,8 @@ def next_collisions(
     Simultaneous events at distinct positions are all returned (they share
     the snapped event time); an empty list means no collision lies ahead.
     """
-    state, back = _forward_frame(state, direction)
-    ps = state.particles
-    found = _earliest([p.x for p in ps], [p.velocity for p in ps], state.t)
-    return [(pair, back(t)) for pair, t in found]
+    back, t, xs, vs = _frame(state, direction)
+    return [(pair, -t if back else t) for pair, t in _earliest(xs, vs, t)]
 
 
 def _check_disjoint(selected: list[Pair]) -> None:
@@ -387,14 +379,19 @@ def _check_disjoint(selected: list[Pair]) -> None:
 
 
 def _resolve(
-    ps: list, xs: list, vs: list, t: Number, found: list[tuple[Pair, Number]]
+    ps: list, xs: list, vs: list, t: Number, found: list, back: bool
 ) -> list[CollisionEvent]:
     """Resolve the collisions ``found`` at time ``t``, where the particles
     ``ps`` sit at ``xs``; update ``ps``, ``xs`` and ``vs`` for the colliding
-    pairs and return their events."""
+    pairs and return their events.
+
+    ``t`` and ``vs`` are in the frame where the run goes forward, which is
+    time-reversed if ``back``; ``ps`` and the events are in the caller's.
+    """
     selected = [pair for pair, _ in found]
     _check_disjoint(selected)
 
+    t_event = -t if back else t
     events = []
     for i, j in selected:  # left-to-right; pairs are disjoint
         a, b = xs[i], xs[j]
@@ -402,17 +399,23 @@ def _resolve(
         # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
         x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
         p, q = ps[i], ps[j]
+        # (sigma, rho) = (E + P, E - P); time reversal swaps the two
+        s_i, r_i, s_j, r_j = p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P
+        if back:
+            s_i, r_i, s_j, r_j = r_i, s_i, r_j, s_j
         (sigma_i, rho_i, sigma_j, rho_j, _, _, tachyonic, flip_i, flip_j) = (
-            collide(p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P)
+            collide(s_i, r_i, s_j, r_j)
         )
-        # E = (sigma + rho)/2 and P = (sigma - rho)/2; each mu carried over
+        # E = (sigma + rho)/2 and P = (sigma - rho)/2 in the run's frame,
+        # P negated in the caller's; each mu carried over
+        P_i, P_j = (sigma_i - rho_i) / 2, (sigma_j - rho_j) / 2
         post_i = ParticleState._evolved(
-            (sigma_i + rho_i) / 2, (sigma_i - rho_i) / 2, p.mu, x_e, p.label
+            (sigma_i + rho_i) / 2, -P_i if back else P_i, p.mu, x_e, p.label
         )
         post_j = ParticleState._evolved(
-            (sigma_j + rho_j) / 2, (sigma_j - rho_j) / 2, q.mu, x_e, q.label
+            (sigma_j + rho_j) / 2, -P_j if back else P_j, q.mu, x_e, q.label
         )
-        v_i, v_j = post_i.velocity, post_j.velocity
+        v_i, v_j = P_i / post_i.E, P_j / post_j.E
         dv = v_i - v_j
         if dv > 0 and not near_zero(dv, v_i, v_j, 1):
             raise SimulationError(
@@ -423,7 +426,7 @@ def _resolve(
         vs[i], vs[j] = v_i, v_j
         events.append(
             CollisionEvent(
-                t=t,
+                t=t_event,
                 pair=(i, j),
                 x=x_e,
                 pre=(p.with_position(x_e), q.with_position(x_e)),
@@ -462,25 +465,23 @@ def simulate(
     configuration). Identical inputs produce identical logs. Scheduler
     errors are re-raised with the index of the offending event attached.
     """
-    state, back = _forward_frame(state, direction)
+    # The particles as last resolved, their positions at time t and their
+    # velocities, with t and the velocities in the frame where the run goes
+    # forward; only colliding pairs get new particles.
+    back, t, xs, vs = _frame(state, direction)
+    ps = list(state.particles)
     if max_events is None and t_limit is None:
         raise ValidationError(
             "need max_events and/or t_limit to bound the run"
         )
     if t_limit is not None:
-        t_limit = back(t_limit)
-        if t_limit < state.t:
-            bound = "precede" if direction == "forward" else "exceed"
+        t_limit = -t_limit if back else t_limit
+        if t_limit < t:
+            bound = "exceed" if back else "precede"
             raise ValidationError(
                 f"{direction} t_limit must not {bound} the start time"
             )
 
-    # The particles as last resolved, their positions at time t and their
-    # velocities; only colliding pairs get new particles.
-    ps = list(state.particles)
-    xs = [p.x for p in ps]
-    vs = [p.velocity for p in ps]
-    t = state.t
     log: list[CollisionEvent] = []
     found, select = _scheduler(xs, vs, t, max_events)
     while max_events is None or len(log) < max_events:
@@ -495,7 +496,7 @@ def simulate(
         xs = [x + v * dt for x, v in zip(xs, vs)]
         t = t_event
         try:
-            events = _resolve(ps, xs, vs, t, found)
+            events = _resolve(ps, xs, vs, t, found, back)
             found = select(xs, vs, t, found)
         except ValueError as exc:  # bad positions or particle data
             raise SimulationError(
@@ -504,11 +505,5 @@ def simulate(
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         log.extend(events)
-    if direction == "forward":
-        particles = tuple(p.with_position(x) for p, x in zip(ps, xs))
-    else:  # built once, in the caller's frame
-        particles = tuple(
-            ParticleState._unchecked(p.E, -p.P, p.mu, x, p.label)
-            for p, x in zip(ps, xs)
-        )
-    return BilliardState(particles, back(t)), [back(e) for e in log]
+    particles = tuple(p.with_position(x) for p, x in zip(ps, xs))
+    return BilliardState(particles, -t if back else t), log

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import relbilliards as rb
-from relbilliards.cli import main
+from relbilliards.cli import build_parser, main
 from relbilliards.config import initial_state, parse_config
 from relbilliards.render import render_spacetime, worldlines
 from relbilliards.serialize import events_from_csv, events_to_csv
@@ -628,6 +628,47 @@ class TestPeriodCommand:
         are, not an unknown option."""
         assert main(argv) == 0
         assert out in capsys.readouterr().out
+
+    def test_grid_with_a_negative_first_value(self, capsys):
+        """``-3,-0.7`` after a grid option is its value, not an option."""
+        assert main(["tachyon-scan", "--mu", "1", "--e-total", "1",
+                     "--sigma1", "-3,-0.7", "--steps", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "\n1.0,1.0,-3.0," in out and "\n1.0,1.0,-0.7," in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+             "--x1", "-1", "--tol=-1"],
+            ["cross-check", "--config", "m.ini", "--events", "20",
+             "--tol", "-1e-9"],
+        ],
+        ids=["period", "cross-check"],
+    )
+    def test_negative_tol_rejected(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "m.ini", MIRROR_CYCLE)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        tol = argv[-1].removeprefix("--tol=")
+        assert (out, err) == (
+            "", f"error: --tol: expected a nonnegative number, got {tol!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+             "--x1", "-1", "--tol", "0"],
+            ["cross-check", "--config", "m.ini", "--tol", "0"],
+        ],
+        ids=["period", "cross-check"],
+    )
+    def test_zero_tol_accepted(self, argv):
+        assert build_parser().parse_args(argv).tol == 0
 
 
 class TestTachyonScanCommand:

@@ -76,6 +76,8 @@ GOLDEN = {
         "245c215c845976af29874022a403350e67f01338b59420e0aee0e85f609bc84c",
     "mixed-forward":
         "a95b70caf7814d13154fdedf3f93d9cadba86b68a4eef4cebe2ff6116e265a28",
+    "mixed-backward":
+        "2c2f0e49401db348b2dfa97ef743e71709a16ad4fd62c25fd5311d1f7e5a43b8",
 }
 
 
@@ -123,6 +125,15 @@ def test_mixed_species_run():
     state, log = rb.simulate(_mixed_gas(4), max_events=200)
     assert len(log) == 200 and any(e.tachyonic for e in log)
     assert _digest(state, log) == GOLDEN["mixed-forward"]
+
+
+def test_mixed_species_backward_run():
+    """A backward run where negative energies, tachyons and massless
+    particles meet, so the sign of every reversed momentum is pinned."""
+    state, _ = rb.simulate(_mixed_gas(4), max_events=200)
+    back, log = rb.simulate(state, "backward", max_events=200)
+    assert len(log) == 200 and any(e.tachyonic for e in log)
+    assert _digest(back, log) == GOLDEN["mixed-backward"]
 
 
 def test_mixed_species_error_message():

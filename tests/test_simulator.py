@@ -342,16 +342,15 @@ class TestObjectCost:
         monkeypatch.setattr(
             rb.ParticleState, "_unchecked", classmethod(counting)
         )
-        # Forward: the returned state, and two particles before and two
-        # after each collision. Backward adds the reversal of the start
-        # state, of the returned state and of each event's four particles.
+        # The returned state, and two particles before and two after each
+        # collision, in either direction.
         state, log = rb.simulate(start, max_events=50)
         assert len(log) >= 50
         assert built <= n + 4 * len(log)
         built = 0
         _, log = rb.simulate(state, "backward", max_events=50)
         assert len(log) >= 50
-        assert built <= 3 * n + 8 * len(log)
+        assert built <= n + 4 * len(log)
 
     def test_exact_mode_fractions_per_event(self, monkeypatch):
         """Exact mode builds no float tolerance scale and no product read
@@ -410,9 +409,9 @@ class TestObjectCost:
 
 class TestBackwardObjectCost:
     def test_returned_state_built_once(self, monkeypatch):
-        """A backward run builds the reversal of the start state, each
-        returned particle once (in the caller's frame), and per collision
-        two particles before, two after and the reversal of all four."""
+        """A backward run builds each returned particle once, in the
+        caller's frame, and per collision two particles before and two
+        after, as a forward run does: it reverses numbers, not particles."""
         n = 512
         state, _ = rb.simulate(bradyon_gas(7, n), max_events=50)
         built = 0
@@ -428,7 +427,56 @@ class TestBackwardObjectCost:
         )
         _, log = rb.simulate(state, "backward", max_events=50)
         assert len(log) >= 50
-        assert built <= 2 * n + 8 * len(log)
+        assert built <= n + 4 * len(log)
+
+
+def _time_reversed(value):
+    """A state or an event with every momentum and the clock negated."""
+    def flip(ps):
+        return tuple(p.momentum_reversed() for p in ps)
+
+    if isinstance(value, rb.BilliardState):
+        return rb.BilliardState(flip(value.particles), -value.t)
+    return replace(
+        value, t=-value.t, pre=flip(value.pre), post=flip(value.post)
+    )
+
+
+def _at_rest_pair() -> rb.BilliardState:
+    """Equal masses, one at rest: run backward, the other is brought to
+    rest, with a momentum of zero whose sign is part of the output."""
+    return rb.BilliardState(
+        (
+            rb.ParticleState(1.25, -0.75, 1.0, -1.0, 0),
+            rb.ParticleState(1.0, 0.0, 1.0, 0.0, 1),
+        ),
+        0.0,
+    )
+
+
+class TestTimeReversal:
+    """A backward run is the forward run of the time-reversed state, with
+    every momentum and the clock negated back, bit for bit (``repr`` tells
+    -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize(
+        "start, events",
+        [
+            (_at_rest_pair, 20),
+            (lambda: rb.simulate(bradyon_gas(3, 80), max_events=60)[0], 40),
+            (lambda: _fraction_gas(29, 6), 8),  # digits grow fast backward
+        ],
+        ids=["at-rest", "gas80", "fraction6"],
+    )
+    def test_backward_is_the_reversed_forward_run(self, start, events):
+        start = start()
+        state, log = rb.simulate(start, "backward", max_events=events)
+        assert log
+        mirrored, mirrored_log = rb.simulate(
+            _time_reversed(start), max_events=events
+        )
+        assert repr(state) == repr(_time_reversed(mirrored))
+        assert repr(log) == repr([_time_reversed(e) for e in mirrored_log])
 
 
 class TestReversibility:
@@ -511,8 +559,8 @@ class TestValidationErrors:
         SimulationError naming the event, from the heap or the scan."""
         resolve = simulator._resolve
 
-        def misplacing(ps, xs, vs, t, found):
-            events = resolve(ps, xs, vs, t, found)
+        def misplacing(ps, xs, vs, t, found, back):
+            events = resolve(ps, xs, vs, t, found, back)
             (i, j), _ = found[0]
             xs[i] = xs[j] + 1.0
             return events
