@@ -86,6 +86,9 @@ def _run_simulate(args) -> int:
     t = repr_number(state.t)
     print(f"wrote {out} ({len(events)} events, final t = {t})")
     if "svg" in config.outputs:
+        if not events:
+            print("no events: spacetime.svg not drawn")
+            return EXIT_OK
         svg = render_spacetime(events)
         svg_path = os.path.join(args.out, "spacetime.svg")
         write_atomic(svg_path, svg)
@@ -137,9 +140,10 @@ def _run_period(args) -> int:
         return EXIT_OK
     states = mr.reduced_trajectory(params, state0, found.b)
     simulated_T = states[-1].t - states[0].t
+    near = "" if found.exact else f" (near cycle within tol {args.tol:g})"
     print(
         f"b={found.b}, a={found.a}, T={found.T:.9g}; "
-        f"simulated {float(simulated_T):.9f}"
+        f"simulated {float(simulated_T):.9f}{near}"
     )
     return EXIT_OK
 

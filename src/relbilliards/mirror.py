@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import (
@@ -379,11 +380,13 @@ def _convergents(x: float, b_max: int):
 
 @dataclass(frozen=True)
 class RationalPeriod:
-    """Detected rational rotation number a/b and the orbit period T."""
+    """Detected rational rotation number a/b and the orbit period T;
+    ``exact`` tells a cycle from a near cycle within the tolerance."""
 
     a: int
     b: int
     T: float
+    exact: bool
 
 
 def period(
@@ -392,51 +395,37 @@ def period(
     b_max: int = 10_000,
     tol: float = 1e-9,
 ) -> Optional[RationalPeriod]:
-    """Detect a rational rotation number and return the orbit period.
+    """Detect a rational rotation number a/b and return the orbit period
+    T = 2 * k * b * mu / (mu - E_total**2), or None within bounds.
 
-    Scans continued-fraction convergents of theta/(2*pi) for a reduced
-    fraction a/b with b <= b_max within tol, then confirms the candidate by
-    actually iterating the map b steps before reporting
-
-        T = 2 * k * b * mu / (mu - E_total**2).
-
-    Returns None when no confirmed rational rotation exists within bounds.
+    cos(theta) = 2*E_total**2/mu - 1 is rational, as every float is, so
+    by Niven's theorem the orbit is an exact cycle only where
+    4*E_total**2/mu, taken on the exact parameter values, is 1, 2 or 3:
+    b = 3, 4 or 6, with a = 1 for E_total > 0 and a = b - 1 otherwise.
+    Failing that, a near cycle is the first continued-fraction convergent
+    a/b of theta/(2*pi) with b <= b_max whose b-th collision misses a
+    whole number of turns by at most ``tol`` turns.
     """
+    x = rotation_angle(params) / (2 * math.pi)  # raises unless delta < 0
+    e, mu = Fraction(params.E_total), Fraction(params.mu)
+    b = {1: 3, 2: 4, 3: 6}.get(4 * e * e / mu)
+    if b is not None and b <= b_max:
+        a, exact = (1 if e > 0 else b - 1), True
+    else:
+        for a, b in _convergents(x, b_max):
+            if 0 < a < b and abs(b * x - a) <= tol:
+                break
+        else:
+            return None
+        exact = False
     k_value = params.k if k is None else k
-    theta = rotation_angle(params)  # raises unless delta < 0
-    x = theta / (2 * math.pi)
-    for a, b in _convergents(x, b_max):
-        if a == 0 or a >= b:
-            continue
-        if abs(x - a / b) > tol:
-            continue
-        if _confirm_cycle(params, b):
-            if k_value is None:
-                raise ValidationError(
-                    "motion constant k required to compute the period time"
-                )
-            mu = float(params.mu)
-            e = float(params.E_total)
-            return RationalPeriod(
-                a=a, b=b, T=2 * float(k_value) * b * mu / (mu - e * e)
-            )
-    return None
-
-
-def _confirm_cycle(params: MirrorParams, b: int) -> bool:
-    """Check sigma returns to itself after b map iterations from a few
-    generic starting points (skipping ones whose orbit grazes the pole)."""
-    fparams = MirrorParams(float(params.mu), float(params.E_total))
-    for offset in (0.6180339887498949, 1.4142135623730951, 2.718281828459045):
-        sigma0 = fparams.E_total * offset
-        sigma = sigma0
-        try:
-            for _ in range(b):
-                sigma = reduced_map(sigma, fparams)
-        except PoleError:
-            continue
-        return abs(sigma - sigma0) <= 1e-9 * max(1.0, abs(sigma0))
-    return False
+    if k_value is None:
+        raise ValidationError(
+            "motion constant k required to compute the period time"
+        )
+    mu, e = float(mu), float(e)
+    T = 2 * float(k_value) * b * mu / (mu - e * e)
+    return RationalPeriod(a, b, T, exact)
 
 
 def _tachyonic(sigma1: Number, two_e: Number) -> bool:

@@ -359,6 +359,13 @@ def next_collisions(
     return [(pair, -t if back else t) for pair, t in _earliest(xs, vs, t)]
 
 
+def _finite(value: Number, what: str) -> None:
+    """SimulationError if the float ``value`` has left the float range
+    (inf or NaN). Exact values are always finite and are not converted."""
+    if type(value) is float and not math.isfinite(value):
+        raise SimulationError(f"{what} is not finite: {value!r}")
+
+
 def _check_disjoint(selected: list[Pair]) -> None:
     """Reject simultaneous events that share a particle.
 
@@ -398,6 +405,7 @@ def _resolve(
         # An exact pair meets at one point. Floats keep the midpoint: it
         # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
         x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
+        _finite(x_e, "collision point")
         p, q = ps[i], ps[j]
         # (sigma, rho) = (E + P, E - P); time reversal swaps the two
         s_i, r_i, s_j, r_j = p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P
@@ -463,7 +471,9 @@ def simulate(
     strictly inside the interval are resolved, an event landing exactly on
     the limit is left unresolved (the state is its pre-collision
     configuration). Identical inputs produce identical logs. Scheduler
-    errors are re-raised with the index of the offending event attached.
+    errors are re-raised with the index of the offending event attached;
+    a float event time, collision point or returned position that is not
+    finite is a SimulationError.
     """
     # The particles as last resolved, their positions at time t and their
     # velocities, with t and the velocities in the frame where the run goes
@@ -496,6 +506,7 @@ def simulate(
         xs = [x + v * dt for x, v in zip(xs, vs)]
         t = t_event
         try:
+            _finite(t, "event time")
             events = _resolve(ps, xs, vs, t, found, back)
             found = select(xs, vs, t, found)
         except ValueError as exc:  # bad positions or particle data
@@ -505,5 +516,11 @@ def simulate(
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         log.extend(events)
+    for i, x in enumerate(xs):  # the checks of _finite, inlined
+        if type(x) is float and not math.isfinite(x):
+            raise SimulationError(
+                f"position of particle {i} is not finite: {x!r} "
+                f"(at event index {len(log)})"
+            )
     particles = tuple(p.with_position(x) for p, x in zip(ps, xs))
     return BilliardState(particles, -t if back else t), log

@@ -466,6 +466,94 @@ x = 1
         assert svg.count("<polyline") == 4
 
 
+SEPARATING_PAIR = """
+[scenario]
+mode = general
+t_limit = 5
+outputs = events, svg
+
+[particle 1]
+E = 1
+mu = 0.75
+v = -0.5
+x = 0
+
+[particle 2]
+E = 1
+mu = 0.75
+v = 0.5
+x = 1
+"""
+
+OVERFLOWING_PAIR = """
+[scenario]
+mode = general
+events = 1
+
+[particle 1]
+E = 1
+mu = 1
+P = 1e-10
+x = -1e300
+
+[particle 2]
+E = 1
+mu = 1
+P = -1e-10
+x = 1e300
+"""
+
+
+class TestSimulateEdges:
+    def test_empty_log_skips_the_svg(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.ini", SEPARATING_PAIR)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        events, _ = events_from_csv((tmp_path / "events.csv").read_text())
+        assert events == []
+        assert not (tmp_path / "spacetime.svg").exists()
+        assert "no events: spacetime.svg not drawn" in capsys.readouterr().out
+
+    def test_empty_log_still_rejected_by_render(self, tmp_path):
+        cfg = write(tmp_path, "s.ini", SEPARATING_PAIR)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        log = str(tmp_path / "events.csv")
+        assert main(["render", "--log", log, "--out", str(tmp_path)]) == 1
+
+    def test_overflow_exits_2_without_a_log(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.ini", OVERFLOWING_PAIR)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "events.csv").exists()
+        assert "event time is not finite" in capsys.readouterr().err
+
+
+class TestPeriodNearCycle:
+    def test_float_five_cycle_is_named_near(self, capsys):
+        rc = main(["period", "--mu", "1.5278640450004206", "--e-total", "1",
+                   "--sigma1", "1", "--x1", "-1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("b=5, a=1, T=7.63932023; simulated ")
+        assert out.endswith(" (near cycle within tol 1e-09)\n")
+
+    def test_tol_sets_the_turn_miss(self, capsys):
+        rc = main(["period", "--mu", "2.5", "--e-total", "1",
+                   "--sigma1", "1", "--x1", "-1", "--tol", "1e-3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("b=39, a=11, ")
+        assert out.endswith(" (near cycle within tol 0.001)\n")
+
+    def test_exact_cycle_line_unmarked(self, capsys):
+        rc = main(["period", "--mu", "4", "--e-total", "1",
+                   "--sigma1", "1", "--x1", "-1"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "b=3, a=1, T=12; simulated 12.000000000\n"
+        )
+
+
 class TestOverrides:
     def test_events_flag_overrides_config(self, tmp_path):
         cfg = write(tmp_path, "s.ini", MIRROR_CYCLE)

@@ -348,6 +348,82 @@ class TestPeriod:
             assert found.b == best_b
 
 
+def _matrix_power(params, b):
+    """M**b in Fractions, for M = [[0, mu], [-1, 2*E_total]]: the matrix
+    whose Moebius action is the reduced map."""
+    mu, e = Fraction(params.mu), Fraction(params.E_total)
+    result, square = ((1, 0), (0, 1)), ((0, mu), (-1, 2 * e))
+
+    def mul(m, n):
+        return tuple(
+            tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    while b:
+        if b & 1:
+            result = mul(result, square)
+        square, b = mul(square, square), b >> 1
+    return result
+
+
+class TestPeriodExactness:
+    """An exact cycle is decided on the exact parameter values (Niven:
+    4*E_total**2/mu in {1, 2, 3}); any other period is a near cycle whose
+    b-th collision misses a whole number of turns by at most tol turns."""
+
+    def test_golden_ratio_five_cycle_is_near(self):
+        # theta ~ 2*pi/5, but exact iteration of the float's value gives
+        # sigma5 - sigma0 = 7.8e-18
+        found = rb.period(rb.MirrorParams(1.5278640450004206, 1.0), k=1.0)
+        assert (found.a, found.b, found.exact) == (1, 5, False)
+
+    def test_tol_is_the_turn_miss(self):
+        params = rb.MirrorParams(2.5, 1.0)
+        assert rb.period(params, k=1.0) is None
+        found = rb.period(params, k=1.0, tol=1e-3)
+        assert (found.a, found.b, found.exact) == (11, 39, False)
+        x = rb.rotation_angle(params) / (2 * math.pi)
+        assert abs(39 * x - 11) <= 1e-3
+
+    def test_float_four_thirds_is_near_fraction_is_exact(self):
+        near = rb.period(rb.MirrorParams(1.3333333333333333, 1.0), k=1.0)
+        assert (near.a, near.b, near.exact) == (1, 6, False)
+        exact = rb.period(rb.MirrorParams(Fraction(4, 3), 1), k=1)
+        assert (exact.a, exact.b, exact.exact) == (1, 6, True)
+
+    @pytest.mark.parametrize(
+        "mu, b", [(Fraction(4), 3), (Fraction(2), 4), (Fraction(4, 3), 6)]
+    )
+    def test_negative_energy_turns_backward(self, mu, b):
+        found = rb.period(rb.MirrorParams(mu, Fraction(-1)), k=1)
+        assert (found.a, found.b, found.exact) == (b - 1, b, True)
+
+    def test_exact_cycle_beyond_b_max(self):
+        params = rb.MirrorParams(Fraction(4, 3), 1)
+        assert rb.period(params, k=1, b_max=5) is None
+
+    def test_exact_iff_matrix_power_is_scalar(self):
+        """Reference: on a grid of rational and float parameters, every
+        period found has M**b scalar exactly when it is reported exact."""
+        kinds = {True: 0, False: 0}
+        for n in range(3, 40):
+            for e in (Fraction(1), Fraction(-1), Fraction(1, 2)):
+                for mu in (Fraction(n, 8), n / 8, Fraction(4, 3), 4 / 3):
+                    params = rb.MirrorParams(mu, e)
+                    if params.delta >= 0:
+                        continue
+                    for tol in (1e-9, 1e-3):
+                        found = rb.period(params, k=1, b_max=200, tol=tol)
+                        if found is None:
+                            continue
+                        (p, q), (r, s) = _matrix_power(params, found.b)
+                        scalar = q == 0 and r == 0 and p == s
+                        assert scalar == found.exact, (mu, e, found)
+                        kinds[found.exact] += 1
+        assert kinds[True] > 0 and kinds[False] > 0
+
+
 class TestTachyonicPredicate:
     def test_cycle_values(self):
         assert rb.tachyonic_predicate(4.0, P43) is True

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relbilliards as rb
@@ -574,6 +574,109 @@ class TestValidationErrors:
 
 def _at(E, v, x, label):
     return rb.ParticleState(E, E * v, E * E - (E * v) ** 2, x, label)
+
+
+class TestFloatOverflow:
+    """A float run whose event time, collision point or final position
+    leaves the float range stops with a SimulationError naming the event
+    index, instead of returning or logging inf and NaN."""
+
+    def test_meeting_time_overflows(self):
+        s = rb.BilliardState(
+            (_at(1.0, 1e-10, -1e300, 0), _at(1.0, -1e-10, 1e300, 1)), 0.0
+        )
+        message = r"^event time is not finite: inf \(at event index 0\)$"
+        with pytest.raises(rb.SimulationError, match=message):
+            rb.simulate(s, max_events=1)
+
+    def test_collision_point_overflows(self):
+        # they meet at 1.6e308, but the midpoint's sum is past the range
+        s = rb.BilliardState(
+            (_at(1.0, 0.5, 1.5e308, 0), _at(1.0, -0.5, 1.7e308, 1)), 0.0
+        )
+        message = r"^collision point is not finite: inf \(at event index 0\)$"
+        with pytest.raises(rb.SimulationError, match=message):
+            rb.simulate(s, max_events=1)
+
+    def test_move_overflows(self):
+        s = rb.BilliardState(
+            (
+                rb.ParticleState(1.0, -0.99, 1.0 - 0.99**2, -1e308, 0),
+                _at(1.0, 0.0, 0.0, 1),
+            ),
+            0.0,
+        )
+        message = (
+            r"^position of particle 0 is not finite: -inf "
+            r"\(at event index 0\)$"
+        )
+        with pytest.raises(rb.SimulationError, match=message):
+            rb.simulate(s, t_limit=1e308)
+
+    def test_huge_fraction_is_not_converted(self):
+        big = Fraction(10**400)
+        s = rb.BilliardState(
+            (
+                rb.ParticleState(Fraction(1), Fraction(1, 2), Fraction(3, 4),
+                                 -big, 0),
+                rb.ParticleState(Fraction(1), Fraction(-1, 2), Fraction(3, 4),
+                                 big, 1),
+            ),
+            Fraction(0),
+        )
+        state, log = rb.simulate(s, max_events=1)
+        assert log[0].t == 2 * big and log[0].x == 0
+        assert state.particles[0].x == 0
+
+
+@st.composite
+def exact_mixed_gases(draw):
+    """2 to 6 rational particles at distinct positions: bradyons, tachyons
+    and massless particles, each energy sign, small numerators and
+    denominators, and a rational start time."""
+    n = draw(st.integers(2, 6))
+    sites = draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n,
+                          unique=True))
+    energies = st.fractions(-2, 2, max_denominator=4).filter(bool)
+    particles = []
+    for label, site in enumerate(sorted(sites)):
+        x = Fraction(site, 4)
+        E = draw(energies)
+        kind = draw(st.sampled_from(("bradyon", "tachyon", "massless")))
+        if kind == "massless":
+            particles.append(
+                rb.massless(E, draw(st.sampled_from((1, -1))), x=x,
+                            label=label)
+            )
+            continue
+        if kind == "bradyon":
+            v = draw(st.fractions(-1, 1, max_denominator=8))
+            assume(abs(v) < 1)
+        else:
+            v = draw(st.fractions(-4, 4, max_denominator=8))
+            assume(abs(v) > 1)
+        P = E * v
+        particles.append(rb.ParticleState(E, P, E * E - P * P, x, label))
+    t0 = draw(st.fractions(-4, 4, max_denominator=4))
+    return rb.BilliardState(tuple(particles), t0)
+
+
+class TestExactMixedSpecies:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_mixed_gases())
+    def test_conserves_and_retraces_or_fails_by_name(self, start):
+        """A rational run of every species either stops with a named
+        error, or conserves E and P exactly and a backward run to the start
+        time gives back the start state exactly."""
+        try:
+            end, log = rb.simulate(start, max_events=12)
+        except rb.BilliardError:
+            return
+        assert end.total_energy() == start.total_energy()
+        assert end.total_momentum() == start.total_momentum()
+        back, back_log = rb.simulate(end, "backward", t_limit=start.t)
+        assert back == start
+        assert len(back_log) == len(log)
 
 
 def _scan_and_heap(run):
