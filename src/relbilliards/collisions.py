@@ -75,6 +75,19 @@ def _opposite_signs(a: Number, b: Number) -> bool:
     return a < 0 < b or b < 0 < a
 
 
+def _energy_flipped(
+    sigma: Number, rho: Number, sigma2: Number, rho2: Number
+) -> bool:
+    """Whether the energies (sigma + rho)/2 and (sigma2 + rho2)/2 have
+    opposite signs, read by comparing each sigma with -rho, without the
+    sums."""
+    minus_rho, minus_rho2 = -rho, -rho2
+    return (
+        sigma < minus_rho and sigma2 > minus_rho2
+        or sigma > minus_rho and sigma2 < minus_rho2
+    )
+
+
 def _underflows(a: Number, b: Number) -> bool:
     """Whether the float product of nonzero ``a`` and ``b`` is zero or
     subnormal, so that it no longer tells unequal velocities apart."""
@@ -119,7 +132,6 @@ def collide(
         sigma_i2, rho_i2 = rho_i * sr_ratio, sigma_i * rs_ratio
         sigma_j2, rho_j2 = rho_j * sr_ratio, sigma_j * rs_ratio
 
-    # each flag compares the energies (sigma + rho)/2 before and after
     return (
         sigma_i2,
         rho_i2,
@@ -128,8 +140,8 @@ def collide(
         s,
         r,
         _opposite_signs(s, r),
-        _opposite_signs(sigma_i + rho_i, sigma_i2 + rho_i2),
-        _opposite_signs(sigma_j + rho_j, sigma_j2 + rho_j2),
+        _energy_flipped(sigma_i, rho_i, sigma_i2, rho_i2),
+        _energy_flipped(sigma_j, rho_j, sigma_j2, rho_j2),
     )
 
 

@@ -114,17 +114,22 @@ class ParticleState:
                 f"particle {self.label}: energy must be nonzero"
             )
         E, P, mu = self.E, self.P, self.mu
-        # E**2 - P**2 - mu as sigma*rho - mu: the same exact value from
-        # smaller products. Floats take the drift in mass_drift's order.
-        if float not in (type(E), type(P), type(mu)):
-            drift = (E - P) * (E + P) - mu
-            if is_exact(drift):
-                if drift != 0:
-                    raise ValidationError(
-                        f"particle {self.label}: mu != E**2 - P**2 "
-                        f"(off by {drift})"
-                    )
-                return
+        if is_exact(E) and is_exact(P) and is_exact(mu):
+            # With E = e/b, P = p/d and mu = m/n, E**2 - P**2 == mu reads
+            # (e*d - p*b) * (e*d + p*b) * n == m * (b*d)**2 over ints, with
+            # no gcd; the Fraction drift is built only for the message.
+            e, b = E.numerator, E.denominator
+            p, d = P.numerator, P.denominator
+            m, n = mu.numerator, mu.denominator
+            ed, pb = e * d, p * b
+            if (ed - pb) * (ed + pb) * n != m * (b * d) ** 2:
+                drift = (E - P) * (E + P) - mu
+                raise ValidationError(
+                    f"particle {self.label}: mu != E**2 - P**2 "
+                    f"(off by {drift})"
+                )
+            return
+        # Floats take the drift in mass_drift's order.
         drift = self.mass_drift()
         scale = float(E * E + P * P + abs(mu))
         if abs(float(drift)) > drift_tol * scale:

@@ -8,6 +8,13 @@ implicitly by the number types fed in:
 * exact mode -- ``fractions.Fraction`` (or int) inputs, in which case all
   zero tests are exact and results are bit-reproducible.
 
+An exact test compares, it never builds the value it tests: ``b < a``
+rather than ``b - a < 0``, ``sigma < -rho`` rather than
+``sigma + rho < 0``, and a mass check over integer numerators and
+denominators rather than a Fraction drift. Between two floats the
+comparison decides exactly what the built value would, so one form serves
+both modes; a float difference is built only where a tolerance needs it.
+
 A zero test takes the terms of its tolerance scale, not the scale: the
 scale is summed only for a float, since an exact value is compared with
 zero as it is.

@@ -5,9 +5,10 @@ arithmetic=float``) followed by an ordinary header row. Every number goes
 through the codec of ``numeric``: ``format_number`` writes a float with
 ``repr``, which round-trips bit-for-bit, and a rational as a ``p/q``
 string of any length; ``parse_number`` reads each field back, a ConfigError
-naming its line and column if it is not a finite number. Parsing a file
-back reconstructs the event list exactly. ``format_bool`` writes the
-flags, also for the ``tachyon-scan`` rows of ``cli``.
+naming its line and column if it is not a finite number; particle data
+that breaks ``mu = E**2 - P**2`` or has zero energy is one naming its line.
+Parsing a file back reconstructs the event list exactly. ``format_bool``
+writes the flags, also for the ``tachyon-scan`` rows of ``cli``.
 
 Files are written atomically (temp file + rename) so a crashed run never
 leaves a half-written artifact.
@@ -21,7 +22,7 @@ import os
 import tempfile
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError, ZeroEnergyError
 from .kinematics import ParticleState
 from .mirror import MirrorState
 from .numeric import ARITHMETICS, Number, format_number, parse_number
@@ -170,7 +171,10 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         x = num("x")
 
         def state(E, P, mu, label):
-            return ParticleState._evolved(E, P, mu, x, label)
+            try:
+                return ParticleState._evolved(E, P, mu, x, label)
+            except (ValidationError, ZeroEnergyError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
 
         # Fields parse in column order; each mu once, for both states.
         pre = (

@@ -74,7 +74,7 @@ class BilliardState:
             object.__setattr__(self, "particles", tuple(self.particles))
         xs = [p.x for p in self.particles]
         for a, b in zip(xs, xs[1:]):
-            if b - a < 0:
+            if b < a:
                 _contact(a, b)
 
     def __len__(self) -> int:
@@ -132,13 +132,18 @@ def _flights(
     cands = []
     for idx in range(len(xs) - 1) if pairs is None else pairs:
         a, b = xs[idx], xs[idx + 1]
-        w = vs[idx] - vs[idx + 1]  # closing speed
-        gap = b - a
-        if gap < 0:
+        va, vb = vs[idx], vs[idx + 1]
+        # The closing speed, or 0 for a pair that does not close: compared
+        # before it is built. It rounds to 0.0 only for a Fraction faster
+        # than a float by less than the float's spacing: not closing.
+        w = va - vb if va > vb else 0
+        if b < a:
             gap = _contact(a, b)
-            if w <= 0 and inverted is not None:
+            if not w and inverted is not None:
                 inverted.add(idx)
-        if w > 0:
+        elif w:
+            gap = b - a
+        if w:
             cands.append((idx, gap / w))
     return cands
 
@@ -153,20 +158,21 @@ def _select(
     A pair ties with the earliest when its flight time exceeds the
     shortest by zero, or, if that excess is a float, by at most ``REL_TOL``
     times ``max(1, |t_event|)``: the rule of ``near_zero``, with the
-    tolerance computed once, and only when some flight time is a float.
+    tolerance computed once, and the tolerance and the excesses only when
+    some flight time is a float.
     """
     if not cands:
         return []
     dt_min = min(dt for _, dt in cands)
     t_event = t + dt_min
-    tol = 0  # an exact excess is positive, so it fails <= tol
+    tol = 0  # an exact excess is positive: only the minimum ties
     if not all(is_exact(dt) for _, dt in cands):
         tol = REL_TOL * max(1.0, abs(float(t_event)))
     return [
         ((idx, idx + 1), t_event)
         for idx, dt in cands
         if dt == dt_min
-        or (dt - dt_min <= tol and not is_exact(dt - dt_min))
+        or (tol and dt - dt_min <= tol and not is_exact(dt - dt_min))
     ]
 
 
@@ -354,9 +360,14 @@ def next_collisions(
 
     Simultaneous events at distinct positions are all returned (they share
     the snapped event time); an empty list means no collision lies ahead.
+    A float event time that is not finite is a SimulationError, as in
+    ``simulate``.
     """
     back, t, xs, vs = _frame(state, direction)
-    return [(pair, -t if back else t) for pair, t in _earliest(xs, vs, t)]
+    found = _earliest(xs, vs, t)
+    if found:
+        _finite(found[0][1], "event time")
+    return [(pair, -t if back else t) for pair, t in found]
 
 
 def _finite(value: Number, what: str) -> None:
@@ -424,8 +435,7 @@ def _resolve(
             (sigma_j + rho_j) / 2, -P_j if back else P_j, q.mu, x_e, q.label
         )
         v_i, v_j = P_i / post_i.E, P_j / post_j.E
-        dv = v_i - v_j
-        if dv > 0 and not near_zero(dv, v_i, v_j, 1):
+        if v_i > v_j and not near_zero(v_i - v_j, v_i, v_j, 1):
             raise SimulationError(
                 f"pair ({i}, {j}) still approaching after resolution"
             )

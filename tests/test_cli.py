@@ -1065,3 +1065,60 @@ class TestInputAtTheEdge:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
         assert not (tmp_path / "spacetime.svg").exists()
+
+
+class TestLogParticleData:
+    """A log row whose particle data breaks mu = E**2 - P**2, or has zero
+    energy, is a ConfigError naming its line, as every other log error is;
+    ``render --log`` exits 1 with it."""
+
+    def _log(self, tmp_path, arithmetic, **fields):
+        config = MIRROR_CYCLE.replace(
+            "events = 30", f"events = 30\narithmetic = {arithmetic}"
+        )
+        _, log = rb.simulate(initial_state(parse_config(config)), max_events=3)
+        lines = events_to_csv(log, arithmetic).splitlines()
+        header, row = lines[1].split(","), lines[3].split(",")
+        for key, value in fields.items():
+            row[header.index(key)] = value
+        lines[3] = ",".join(row)
+        return write(tmp_path, "events.csv", "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "arithmetic, fields, message",
+        [
+            (
+                "rational",
+                {"mu_i": "1"},
+                "line 4: particle 0: mu != E**2 - P**2 (off by 3)",
+            ),
+            (
+                "float",
+                {"mu_i": "1.0"},
+                "line 4: particle 0: mu inconsistent with E, P "
+                "(drift 3.000e+00 at scale 9.500e+00)",
+            ),
+            (
+                "rational",
+                {"E_j_post": "0"},
+                "line 4: particle 1: energy must be nonzero",
+            ),
+            (
+                "float",
+                {"E_i_pre": "0.0"},
+                "line 4: particle 0: energy must be nonzero",
+            ),
+        ],
+        ids=["rational-mu", "float-mu", "rational-zero-E", "float-zero-E"],
+    )
+    def test_line_named(self, tmp_path, capsys, arithmetic, fields, message):
+        path = self._log(tmp_path, arithmetic, **fields)
+        with open(path) as handle:
+            text = handle.read()
+        with pytest.raises(rb.ConfigError) as info:
+            events_from_csv(text)
+        assert str(info.value) == message
+        rc = main(["render", "--log", path, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "spacetime.svg").exists()

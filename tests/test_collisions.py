@@ -1,5 +1,6 @@
 """Collision engine: the worked example, conservation, involution, swaps."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -304,3 +305,66 @@ class TestFloatUnderflow:
         message = rf"^float underflow: .* \(at event index {index}\)$"
         with pytest.raises(rb.SimulationError, match=message):
             rb.simulate(make(), max_events=max_events)
+
+
+def _collide_by_sums(sigma_i, rho_i, sigma_j, rho_j):
+    """``collide`` as written before its sign tests became comparisons:
+    each energy sign read from the sum sigma + rho, built. The reference
+    for ``TestComparisonForms``."""
+    a, b = sigma_i * rho_j, sigma_j * rho_i
+    if rb.collisions.near_zero(a - b, a, b):
+        if rb.collisions._underflows(sigma_i, rho_j) or (
+            rb.collisions._underflows(sigma_j, rho_i)
+        ):
+            raise rb.SimulationError("float underflow")
+        raise rb.NoCollisionError("equal velocities")
+    s, r = sigma_i + sigma_j, rho_i + rho_j
+    if sigma_i * rho_i == sigma_j * rho_j:
+        out = sigma_j, rho_j, sigma_i, rho_i
+    else:
+        if rb.collisions.near_zero(s, sigma_i, sigma_j) or (
+            rb.collisions.near_zero(r, rho_i, rho_j)
+        ):
+            raise rb.DegenerateCollisionError("s*r = 0")
+        out = (
+            rho_i * (s / r), sigma_i * (r / s),
+            rho_j * (s / r), sigma_j * (r / s),
+        )
+
+    def opposite(u, v):
+        return u < 0 < v or v < 0 < u
+
+    return (*out, s, r, opposite(s, r),
+            opposite(sigma_i + rho_i, out[0] + out[1]),
+            opposite(sigma_j + rho_j, out[2] + out[3]))
+
+
+def _outcome(collide, args):
+    """``collide(*args)`` as comparable text: its repr (NaN equals NaN),
+    or the type of the error it raised."""
+    try:
+        return repr(collide(*args))
+    except rb.BilliardError as exc:
+        return type(exc).__name__
+
+
+class TestComparisonForms:
+    """``collide`` reads each energy sign by comparing sigma with -rho,
+    not from the sum: the same outputs, flags and errors as the sums gave,
+    on every tuple of edge floats (signed zeros, the smallest subnormal,
+    products past the float range, equal velocities, massless pairs) and
+    of Fractions."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 0.5),
+            tuple(map(Fraction, (0, 1, -1, "1/3", "-7/5", 2))),
+        ],
+        ids=["floats", "fractions"],
+    )
+    def test_same_as_the_sums(self, values):
+        for args in itertools.product(values, repeat=4):
+            assert _outcome(rb.collisions.collide, args) == _outcome(
+                _collide_by_sums, args
+            ), args

@@ -204,3 +204,76 @@ class TestParticleState:
         assert events_from_csv(events_to_csv([event])) == ([event], "float")
         with pytest.raises(ValueError):
             rb.ParticleState(p.E, p.P, p.mu, p.x)
+
+
+#: Exact numbers of both types: small and wide ints and Fractions.
+_exact_numbers = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**200), 2**200),
+    st.fractions(max_denominator=50),
+    st.fractions(),
+)
+
+
+@st.composite
+def exact_particle_data(draw):
+    """``(E, P, mu)`` with E nonzero and mu equal to E**2 - P**2, off by a
+    drawn amount, or drawn on its own; int-valued mu sometimes as an int."""
+    E = draw(_exact_numbers.filter(bool))
+    P = draw(_exact_numbers)
+    exact = (E - P) * (E + P)
+    mu = draw(
+        st.one_of(
+            st.just(exact),
+            _exact_numbers,
+            _exact_numbers.map(lambda off: exact + off),
+        )
+    )
+    if Fraction(mu).denominator == 1 and draw(st.booleans()):
+        mu = int(mu)
+    return E, P, mu
+
+
+class TestExactValidation:
+    """The exact check compares over ints; it never builds the drift
+    E**2 - P**2 - mu that it tests."""
+
+    @given(exact_particle_data())
+    def test_accepts_exactly_where_the_fraction_rule_does(self, data):
+        E, P, mu = data
+        drift = (E - P) * (E + P) - mu
+        for make in (rb.ParticleState, rb.ParticleState._evolved):
+            if drift == 0:
+                assert make(E, P, mu, 0, 2).mass_drift() == 0
+                continue
+            with pytest.raises(rb.ValidationError) as info:
+                make(E, P, mu, 0, 2)
+            assert str(info.value) == (
+                f"particle 2: mu != E**2 - P**2 (off by {drift})"
+            )
+
+    def test_wide_data_builds_no_fraction(self, monkeypatch):
+        """Valid data of about 1000 bits, checked fresh and evolved,
+        builds no Fraction at all."""
+        E = Fraction(3**600 + 1, 7**300)
+        P = Fraction(2**900 - 1, 5**400)
+        mu = (E - P) * (E + P)
+        minus_E = -E
+        built = 0
+
+        def counted(name, wrap):
+            make = vars(Fraction)[name].__func__
+
+            def counting(cls, *args, **kwargs):
+                nonlocal built
+                built += 1
+                return make(cls, *args, **kwargs)
+
+            monkeypatch.setattr(Fraction, name, wrap(counting))
+
+        counted("__new__", staticmethod)
+        if "_from_coprime_ints" in vars(Fraction):  # Python 3.12
+            counted("_from_coprime_ints", classmethod)
+        rb.ParticleState(E, P, mu, 0)
+        rb.ParticleState._evolved(minus_E, P, mu, 0, 1)
+        assert built == 0

@@ -1,5 +1,6 @@
 """Event-driven N-particle evolution: scheduling, stepping, reversibility."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -741,3 +742,96 @@ class TestBilliardState:
         s = _two_body(-1.0, 2.0, -3.0, 1.0, -2.0, -3.0)
         final, log = rb.simulate(s, max_events=1)
         assert len(log) == 1
+
+
+class TestNextCollisionsOverflow:
+    def test_event_time_not_finite(self):
+        """The pair of ``TestFloatOverflow`` meets past the float range:
+        ``next_collisions`` raises what the event loop raises, and does not
+        return the time inf."""
+        for back in (False, True):
+            s = rb.BilliardState(
+                (
+                    _at(1.0, -1e-10 if back else 1e-10, -1e300, 0),
+                    _at(1.0, 1e-10 if back else -1e-10, 1e300, 1),
+                ),
+                0.0,
+            )
+            direction = "backward" if back else "forward"
+            with pytest.raises(
+                rb.SimulationError, match=r"^event time is not finite: inf$"
+            ):
+                rb.next_collisions(s, direction)
+
+
+def _flights_by_subtraction(xs, vs, inverted):
+    """``simulator._flights`` over all pairs as written before its tests
+    became comparisons: the gap and the closing speed built for every
+    pair, then signed. The reference for ``TestComparisonForms``."""
+    cands = []
+    for idx in range(len(xs) - 1):
+        a, b = xs[idx], xs[idx + 1]
+        w = vs[idx] - vs[idx + 1]
+        gap = b - a
+        if gap < 0:
+            gap = simulator._contact(a, b)
+            if w <= 0:
+                inverted.add(idx)
+        if w > 0:
+            cands.append((idx, gap / w))
+    return cands
+
+
+def _scan(flights, xs, vs):
+    """``flights(xs, vs, inverted)`` as comparable text: the candidates'
+    repr and the inverted pairs, or the type of the error raised."""
+    inverted = set()
+    try:
+        return repr(flights(xs, vs, inverted)), inverted
+    except ValueError as exc:
+        return type(exc).__name__, inverted
+
+
+class TestComparisonForms:
+    """The scheduler compares positions and velocities before it subtracts
+    them: the same flight times, contacts and order errors as the
+    subtractions gave, on every pair of edge floats and of Fractions."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 1e-300),
+            tuple(map(Fraction, (0, 1, -1, "1/3", "-7/5"))),
+        ],
+        ids=["floats", "fractions"],
+    )
+    def test_flights_same_as_the_differences(self, values):
+        for a, b, va, vb in itertools.product(values, repeat=4):
+            xs, vs = [a, b], [va, vb]
+            assert _scan(simulator._flights, xs, vs) == _scan(
+                _flights_by_subtraction, xs, vs
+            ), (xs, vs)
+
+    def test_fraction_against_float(self):
+        """1/3 against the float nearest it: the difference rounds to 0.0,
+        which never read as closing, and still does not. (Such a pair now
+        counts as in contact; only the heap reads ``inverted``, and it takes
+        no run that mixes Fractions and floats.)"""
+        third, near = Fraction(1, 3), 1 / 3
+        for xs, vs in (
+            ([third, near], [third, near]),
+            ([near, third], [near, third]),
+            ([near, near], [third, near]),
+        ):
+            assert _scan(simulator._flights, xs, vs)[0] == _scan(
+                _flights_by_subtraction, xs, vs
+            )[0] == "[]"
+        state = rb.BilliardState(
+            (
+                rb.ParticleState(Fraction(3), Fraction(1), Fraction(8),
+                                 Fraction(1, 3), 0),
+                rb.ParticleState(3, 1, 8, 1 / 3, 1),  # velocity 1/3 as a float
+            ),
+            0.0,
+        )
+        assert rb.next_collisions(state) == []
