@@ -139,33 +139,36 @@ class FixedPoints:
     complex_pair: Optional[tuple[complex, complex]] = None
 
 
-def fixed_points(params: MirrorParams) -> FixedPoints:
-    """Solve sigma**2 - 2*E_total*sigma + mu = 0 and classify the roots.
-
-    For delta >= 0 the root on the far side of E_total from the origin is
-    the repeller (|f'| > 1) and the near one the attractor (|f'| < 1),
-    for either sign of E_total.
-    """
+def _fixed_pair(params: MirrorParams) -> tuple[complex, complex]:
+    """(near, far): the roots of sigma**2 - 2*E_total*sigma + mu = 0 as
+    complex numbers. For delta >= 0 near is the root on the origin's side
+    of E_total, for either sign of E_total; for delta < 0 the pair is
+    E_total +- i*sqrt(-delta)."""
     e = float(params.E_total)
     delta = float(params.delta)
     if delta < 0:
         root = math.sqrt(-delta)
-        pair = (complex(e, root), complex(e, -root))
-        return FixedPoints(kind="elliptic", complex_pair=pair)
+        return complex(e, root), complex(e, -root)
     root = math.sqrt(delta)
-    if delta == 0:
-        return FixedPoints(
-            kind="parabolic",
-            attracting=e,
-            repelling=e,
-            derivative_attracting=1.0,
-            derivative_repelling=1.0,
-        )
     if e > 0:
-        at, re = e - root, e + root
-    else:
-        at, re = e + root, e - root
-    mu = float(params.mu)
+        return complex(e - root), complex(e + root)
+    return complex(e + root), complex(e - root)
+
+
+def fixed_points(params: MirrorParams) -> FixedPoints:
+    """Solve sigma**2 - 2*E_total*sigma + mu = 0 and classify the roots.
+
+    For delta >= 0 the near root is the attractor (|f'| < 1) and the far
+    one the repeller (|f'| > 1).
+    """
+    near, far = _fixed_pair(params)
+    delta = float(params.delta)
+    if delta < 0:
+        return FixedPoints(kind="elliptic", complex_pair=(near, far))
+    at, re = near.real, far.real
+    if delta == 0:
+        return FixedPoints("parabolic", at, re, 1.0, 1.0)
+    mu, e = float(params.mu), float(params.E_total)
     return FixedPoints(
         kind="hyperbolic",
         attracting=at,
@@ -173,14 +176,6 @@ def fixed_points(params: MirrorParams) -> FixedPoints:
         derivative_attracting=abs(mu / (2 * e - at) ** 2),
         derivative_repelling=abs(mu / (2 * e - re) ** 2),
     )
-
-
-def _conjugacy_pair(params: MirrorParams) -> tuple[complex, complex]:
-    """(attracting-like, repelling-like) fixed points as complex numbers."""
-    fp = fixed_points(params)
-    if fp.kind == "elliptic":
-        return fp.complex_pair
-    return complex(fp.attracting), complex(fp.repelling)
 
 
 def e2_update(E2: Number, sigma1: Number, params: MirrorParams) -> Number:
@@ -242,13 +237,41 @@ def mirror_initial(
     return MirrorParams(mu, E_total, k), state
 
 
-def consistency_residual(state: MirrorState, params: MirrorParams) -> Number:
-    """Residual of the energy split 2*E2 + sigma1 + mu/sigma1 - 2*E_total."""
-    return (
-        2 * state.E2
-        + state.sigma1
-        + params.mu / state.sigma1
-        - 2 * params.E_total
+def _next_state(state: MirrorState, two_e: Number, mu: Number) -> MirrorState:
+    """The state at collision n + 1: reduced_map, e2_update and x1_update
+    over one pole check, and the flight time tau = -x1 - x1_next."""
+    sigma1, x1 = state.sigma1, state.x1
+    try:
+        denom = _check_pole(sigma1, two_e)
+        if sigma1 == 0:
+            raise PoleError("x1 update undefined at sigma1 = 0")
+    except PoleError as exc:
+        raise PoleError(f"{exc} (at collision index {state.n})") from exc
+    x1_next = x1 * mu / (sigma1 * sigma1)
+    tau = -x1 - x1_next
+    e2_next = state.E2 * sigma1 / denom
+    return MirrorState(
+        state.n + 1, mu / denom, e2_next, x1_next, state.t + tau
+    )
+
+
+def _previous_state(
+    state: MirrorState, two_e: Number, mu: Number
+) -> MirrorState:
+    """The state at collision n - 1, by the inverse of each update; a
+    PoleError where the backward orbit reaches sigma = 0, so that the
+    state handed back always has sigma1 != 0."""
+    sigma_prev = _inverse(state.sigma1, two_e, mu)
+    if sigma_prev == 0:
+        raise PoleError(
+            f"backward orbit reached sigma = 0 at collision index "
+            f"{state.n - 1}"
+        )
+    x1_prev = state.x1 * sigma_prev * sigma_prev / mu
+    e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+    tau = -x1_prev - state.x1
+    return MirrorState(
+        state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
     )
 
 
@@ -261,63 +284,23 @@ def reduced_trajectory(
     """Iterate the collision map n_backward steps back and n_forward steps
     ahead, accumulating collision times via tau = -x1 - x1_next.
 
-    The returned list is ordered by collision index. Raises PoleError with
-    the offending index if the orbit hits the map's pole.
+    The returned list is ordered by collision index. Raises ConfigError if
+    the initial state breaks the energy split, and PoleError with the
+    offending index if the orbit hits the map's pole.
     """
-    res = consistency_residual(initial, params)
-    if not near_zero(res, 2 * initial.E2, initial.sigma1, 2 * params.E_total):
+    res = initial.E2 - e2_from_sigma(initial.sigma1, params)
+    if not near_zero(res, initial.E2, initial.sigma1 / 2, params.E_total):
         raise ConfigError(
             f"initial state violates the energy split (residual {res!r})"
         )
-
     two_e, mu = 2 * params.E_total, params.mu
-    forward: list[MirrorState] = [initial]
-    state = initial
+    forward = [initial]
     for _ in range(n_forward):
-        try:
-            denom = _check_pole(state.sigma1, two_e)
-        except PoleError as exc:
-            raise PoleError(f"{exc} (at collision index {state.n})") from exc
-        # reduced_map and e2_update, over one pole check
-        sigma_next = mu / denom
-        e2_next = state.E2 * state.sigma1 / denom
-        x1_next = x1_update(state.x1, state.sigma1, params)
-        tau = -state.x1 - x1_next
-        state = MirrorState(
-            n=state.n + 1,
-            sigma1=sigma_next,
-            E2=e2_next,
-            x1=x1_next,
-            t=state.t + tau,
-        )
-        forward.append(state)
-
-    backward: list[MirrorState] = []
-    state = initial
+        forward.append(_next_state(forward[-1], two_e, mu))
+    backward = [initial]
     for _ in range(n_backward):
-        try:
-            sigma_prev = _inverse(state.sigma1, two_e, mu)
-        except PoleError as exc:
-            raise PoleError(f"{exc} (at collision index {state.n})") from exc
-        if sigma_prev == 0:
-            raise PoleError(
-                f"backward orbit reached sigma = 0 at collision index "
-                f"{state.n - 1}"
-            )
-        x1_prev = state.x1 * sigma_prev * sigma_prev / mu
-        e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
-        tau = -x1_prev - state.x1
-        state = MirrorState(
-            n=state.n - 1,
-            sigma1=sigma_prev,
-            E2=e2_prev,
-            x1=x1_prev,
-            t=state.t - tau,
-        )
-        backward.append(state)
-
-    backward.reverse()
-    return backward + forward
+        backward.append(_previous_state(backward[-1], two_e, mu))
+    return backward[:0:-1] + forward
 
 
 def conjugacy_h(sigma: Number, params: MirrorParams) -> complex:
@@ -327,7 +310,7 @@ def conjugacy_h(sigma: Number, params: MirrorParams) -> complex:
     to multiplication by lambda = s_at / s_re; for delta < 0 it carries the
     real line onto the unit circle, with h(E_total) = 1.
     """
-    s_at, s_re = _conjugacy_pair(params)
+    s_at, s_re = _fixed_pair(params)
     z = complex(sigma)
     denom = s_re - z
     if denom == 0:
@@ -337,7 +320,7 @@ def conjugacy_h(sigma: Number, params: MirrorParams) -> complex:
 
 def conjugacy_h_inverse(z: complex, params: MirrorParams) -> complex:
     """Inverse of the conjugacy: sigma = (s_at + z * s_re) / (1 + z)."""
-    s_at, s_re = _conjugacy_pair(params)
+    s_at, s_re = _fixed_pair(params)
     z = complex(z)
     if z == -1:
         raise PoleError("inverse conjugacy undefined at z = -1")
@@ -346,7 +329,7 @@ def conjugacy_h_inverse(z: complex, params: MirrorParams) -> complex:
 
 def multiplier(params: MirrorParams) -> complex:
     """Derivative of the conjugated map: lambda = s_at / s_re."""
-    s_at, s_re = _conjugacy_pair(params)
+    s_at, s_re = _fixed_pair(params)
     return s_at / s_re
 
 
@@ -471,15 +454,13 @@ def tachyonic_census(
         raise ConfigError("sigma1 must be nonzero")
     two_e, mu = 2 * params.E_total, params.mu
     hits = [0] if _tachyonic(sigma1_0, two_e) else []
-    sigma = sigma1_0
+    ahead = behind = sigma1_0
     for n in range(1, steps + 1):
-        sigma = mu / _check_pole(sigma, two_e)  # reduced_map
-        if _tachyonic(sigma, two_e):
+        ahead = mu / _check_pole(ahead, two_e)  # reduced_map
+        behind = _inverse(behind, two_e, mu)
+        if _tachyonic(ahead, two_e):
             hits.append(n)
-    sigma = sigma1_0
-    for n in range(1, steps + 1):
-        sigma = _inverse(sigma, two_e, mu)
-        if _tachyonic(sigma, two_e):
+        if _tachyonic(behind, two_e):
             hits.append(-n)
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
@@ -540,15 +521,15 @@ def limit_products(
         raise DiscriminantError(
             "no product limits: negative discriminant (bounded orbits)"
         )
-    fp = fixed_points(params)
-    k0 = float(
-        motion_constant(initial.x1, initial.E2, initial.sigma1)
-    )
-    return k0 * fp.repelling, k0 * fp.attracting
+    near, far = _fixed_pair(params)
+    k0 = float(motion_constant(initial.x1, initial.E2, initial.sigma1))
+    return k0 * far.real, k0 * near.real
 
 
 def kappa_from_initial(initial: MirrorState) -> Number:
     """Scale parameter kappa = -2 * E2_0 / sigma1_0 of the collision bound."""
+    if initial.sigma1 == 0:
+        raise PoleError("kappa undefined at sigma1 = 0")
     return -2 * initial.E2 / initial.sigma1
 
 

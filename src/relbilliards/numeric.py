@@ -62,7 +62,13 @@ def near_zero(value: Number, *terms: Number) -> bool:
 
 
 def rel_diff(a: Number, b: Number) -> float:
-    """Relative difference |a-b| / max(|a|, |b|, 1e-300)."""
+    """Relative difference |a-b| / max(|a|, |b|, 1e-300). Two exact values
+    are compared exactly and their quotient converted once, so values
+    beyond the float range compare too."""
+    if is_exact(a) and is_exact(b):
+        if a == b:
+            return 0.0
+        return float(abs(a - b) / max(abs(a), abs(b)))
     a = float(a)
     b = float(b)
     return abs(a - b) / max(abs(a), abs(b), 1e-300)

@@ -33,7 +33,8 @@ def worldlines(
 
     Each particle's vertices are its event points; the first and last
     segments extend to the padded time window using the event's incoming
-    and outgoing velocities.
+    and outgoing velocities, in time order for a forward or a backward
+    log alike.
     """
     if not events:
         raise ConfigError("empty event log: nothing to draw")
@@ -52,8 +53,8 @@ def worldlines(
     for label, evs in sorted(touched.items()):
         evs = sorted(evs, key=lambda e: _float(e.t))
         first, last = evs[0], evs[-1]
-        v_in = _float(_state_of(first, label, "pre").velocity)
-        v_out = _float(_state_of(last, label, "post").velocity)
+        v_in = _float(_velocity(first, label, earlier=True))
+        v_out = _float(_velocity(last, label, earlier=False))
         pts = [(_float(e.t), _float(e.x)) for e in evs]
         t0, x0 = pts[0]
         tn, xn = pts[-1]
@@ -78,9 +79,15 @@ def _float(value: Number) -> float:
         ) from exc
 
 
-def _state_of(event: CollisionEvent, label: int, which: str):
-    states = event.pre if which == "pre" else event.post
-    return states[0] if event.pair[0] == label else states[1]
+def _velocity(event: CollisionEvent, label: int, earlier: bool) -> Number:
+    """``label``'s velocity just before (``earlier``) or just after
+    ``event`` in time order. The pair closes (v_i > v_j) before it
+    collides, so this holds for a log written in either direction."""
+    before, after = event.pre, event.post
+    if not before[0].velocity > before[1].velocity:  # a backward log
+        before, after = after, before
+    states = before if earlier else after
+    return states[0 if event.pair[0] == label else 1].velocity
 
 
 def render_spacetime(events: list[CollisionEvent]) -> str:

@@ -661,6 +661,16 @@ x1 = -1
         assert "FAIL" in out
         assert "growth rate" in out
 
+    def test_escaping_rational_orbit(self, tmp_path, capsys):
+        """Exact values past the float range compare exactly: the escaping
+        orbit's positions and times reach ~1e385 within 150 collisions."""
+        escaping = MIRROR_CYCLE.replace("mode = mirror", "mode = mirror\n"
+                                        "arithmetic = rational").replace(
+            "mu = 4", "mu = 1/100")
+        cfg = write(tmp_path, "e.ini", escaping)
+        assert main(["cross-check", "--config", cfg, "--events", "150"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     def test_zero_events_trivial_pass(self, tmp_path):
         cfg = write(tmp_path, "m.ini", MIRROR_CYCLE)
         assert main(["cross-check", "--config", cfg, "--events", "0"]) == 0
@@ -958,6 +968,26 @@ class TestRenderCommand:
     def test_empty_log_rejected(self):
         with pytest.raises(rb.ConfigError):
             render_spacetime([])
+
+    def test_backward_log_draws_in_time_order(self):
+        """The forward and the backward log of one history give the same
+        worldlines: each end segment takes the velocity on its own side of
+        the event in time, not in traversal order."""
+        a = rb.ParticleState(
+            E=Fraction(1), P=Fraction(1, 2), mu=Fraction(3, 4), x=Fraction(0),
+            label=0,
+        )
+        b = rb.ParticleState(
+            E=Fraction(2), P=Fraction(-1), mu=Fraction(3), x=Fraction(1),
+            label=1,
+        )
+        start = rb.BilliardState((a, b), t=Fraction(0))
+        end, forward = rb.simulate(start, t_limit=Fraction(2))
+        _, backward = rb.simulate(end, "backward", t_limit=Fraction(0))
+        assert len(forward) == len(backward) == 1
+        lines, _ = worldlines(forward)
+        assert worldlines(backward)[0] == lines
+        assert lines[0][0] == (0.95, 0.475)
 
 
 def _damaged_log(tmp_path, **fields):

@@ -108,7 +108,7 @@ GOLDEN = {
     "rat/events.csv":
         "0dbb56e2ac3f9920145f06d8fdb1b40980fc6900de8417b50097b8c6d4c5fad4",
     "rat/spacetime.svg":
-        "32105190785c390193c2c5c5c7951d7e2fe32a4f02e16a6ed20a6c958795a7f3",
+        "101c14caab4645fa4fec1cee3484fddc6e68f992ba9c5e3038b2e77dbef8d6d3",
     "render:stdout":
         "c10d7277c8d4b22e7a7d9c4d81b47c867fde8e7017dfdbcf9ae3dd89ca28c7f5",
     "render/spacetime.svg":

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relbilliards as rb
+from relbilliards import mirror
 from conftest import finite_floats, nonzero_floats, relative_error
 
 
@@ -648,3 +649,67 @@ class TestOracleEquivalence:
         report = cross_check(params, s0, 30, tol=0.0)
         assert report.passed
         assert all(v == 0.0 for v in report.max_dev.values())
+
+
+class TestRefusals:
+    """Each refusal of the reduced system is a named error."""
+
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_sigma1_zero(self, num):
+        params = rb.MirrorParams(num(4), num(1))
+        state = rb.MirrorState(0, num(0), num(1), num(-1), num(0))
+        with pytest.raises(rb.PoleError, match="energy split undefined"):
+            rb.reduced_trajectory(params, state, 1)
+        with pytest.raises(rb.PoleError, match="kappa undefined"):
+            rb.kappa_from_initial(state)
+        with pytest.raises(rb.PoleError, match="x1 update undefined"):
+            rb.x1_update(num(-1), num(0), params)
+        with pytest.raises(rb.PoleError, match="motion constant undefined"):
+            rb.motion_constant(num(-1), num(1), num(0))
+        with pytest.raises(rb.PoleError, match="energy split undefined"):
+            mirror.e2_from_sigma(num(0), params)
+
+    def test_forward_orbit_underflows_to_sigma_zero(self):
+        # sigma1 = mu / (2e300 - 1) underflows to 0 at collision 1
+        params, s0 = rb.mirror_initial(5e-324, 1e300, 1.0, -1.0)
+        message = r"x1 update undefined at sigma1 = 0 \(at collision index 1\)"
+        with pytest.raises(rb.PoleError, match=f"^{message}$"):
+            rb.reduced_trajectory(params, s0, 3)
+
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_backward_orbit_reaches_sigma_zero(self, num):
+        # 2*E_total - mu/sigma1 = 2 - (5/4)/(5/8) = 0
+        params, s0 = rb.mirror_initial(num(5) / 4, num(1), num(5) / 8, num(-1))
+        with pytest.raises(
+            rb.PoleError,
+            match="^backward orbit reached sigma = 0 at collision index -1$",
+        ):
+            rb.reduced_trajectory(params, s0, 0, 3)
+
+    def test_billiard_from_mirror(self):
+        params = rb.MirrorParams(4.0, 1.0)
+        for state, message in (
+            (rb.MirrorState(0, 0.0, -1.5, -1.0, 0.0), "sigma1 must be"),
+            (rb.MirrorState(0, 1.0, -1.5, 0.0, 0.0), "x1 must be negative"),
+            (rb.MirrorState(0, 1.0, 0.0, -1.0, 0.0), "zero energy"),
+        ):
+            with pytest.raises(rb.ConfigError, match=message):
+                rb.billiard_from_mirror(params, state)
+
+    def test_conjugacy_h_inverse_at_minus_one(self):
+        with pytest.raises(rb.PoleError, match="z = -1"):
+            rb.conjugacy_h_inverse(-1, P43)
+
+    def test_period_needs_k(self):
+        with pytest.raises(rb.ValidationError, match="motion constant k"):
+            rb.period(P43)
+
+    def test_far_root_at_twice_e_total(self):
+        """A float far root that rounds to 2*E_total leaves fixed_points'
+        derivative undefined, but not the multiplier, the conjugacy or
+        the limit products, which need only the roots."""
+        params, s0 = rb.mirror_initial(0.25, -1e150, -1.0, -1.0)
+        assert rb.multiplier(params) == 0
+        assert rb.conjugacy_h(-1.0, params) == pytest.approx(5e-151)
+        past, future = rb.limit_products(params, s0)
+        assert past == float(params.k) * -2e150 and future == 0.0

@@ -15,7 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbilliards as rb
-from relbilliards.numeric import format_number, parse_number, repr_number
+from relbilliards.numeric import (
+    format_number,
+    parse_number,
+    rel_diff,
+    repr_number,
+)
 from relbilliards.serialize import (
     events_to_csv,
     format_bool,
@@ -266,3 +271,18 @@ class TestCsvRows:
             ]
         self._check_events(rows, mirror_rows)
         self._check_mirror([values[:4] for values, _ in rows], 2.5)
+
+
+class TestRelDiff:
+    def test_exact_values_past_the_float_range(self):
+        big = Fraction(10**400)
+        assert rel_diff(big, big) == 0.0
+        assert rel_diff(-big, big) == 2.0
+        assert rel_diff(big, big + big / 3) == 0.25
+        assert rel_diff(Fraction(1, 3), 0) == 1.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_bits(self, a, b):
+        expected = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        assert _bits(rel_diff(a, b)) == _bits(expected)
