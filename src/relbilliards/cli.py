@@ -79,7 +79,7 @@ def _run_simulate(args) -> int:
     )
     rows = None
     if config.mode == "mirror":
-        rows = mr.mirror_columns(*config.mirror, state0, events)
+        rows = mr.mirror_columns(*config.mirror, events)
     text = events_to_csv(events, config.arithmetic, rows)
     out = os.path.join(args.out, "events.csv")
     write_atomic(out, text)
@@ -117,6 +117,11 @@ def _run_cross_check(args) -> int:
     config = _load_config(args)
     if config.mode != "mirror":
         raise ConfigError("cross-check needs a mirror-mode config")
+    if config.direction != "forward":
+        raise ConfigError(
+            f"cross-check runs forward only, not direction = "
+            f"{config.direction}"
+        )
     if config.max_events is None:
         raise ConfigError("cross-check needs an event count")
     params, state0 = config.mirror

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DegenerateCollisionError, NoCollisionError, SimulationError
 from .kinematics import SigmaRho
@@ -27,8 +28,16 @@ from .numeric import Number, near_zero
 def _distinct_velocities(
     sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
 ) -> bool:
+    """Whether sigma_i*rho_j != sigma_j*rho_i, to float tolerance; a
+    SimulationError where a float product overflowed, since inf tells no
+    two velocities apart."""
     a = sigma_i * rho_j
     b = sigma_j * rho_i
+    if type(a) is float and not (isfinite(a) and isfinite(b)):
+        raise SimulationError(
+            "float overflow: a product sigma*rho passed the float range, "
+            "so the velocities cannot be compared"
+        )
     return not near_zero(a - b, a, b)
 
 
@@ -150,9 +159,9 @@ def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
 
     Raises NoCollisionError when the velocities are equal (the scheduler
     should never have queued such a pair), SimulationError when a float
-    product of the collision condition underflowed instead, and
-    DegenerateCollisionError when the pair's rest mass vanishes, since the
-    outcome formulas divide by both s and r.
+    product of the collision condition underflowed or overflowed instead,
+    and DegenerateCollisionError when the pair's rest mass vanishes, since
+    the outcome formulas divide by both s and r.
 
     Equal squared masses short-circuit to the coordinate swap
     sigma_i' = sigma_j etc., which is what the general formulas reduce to

@@ -35,7 +35,8 @@ the reduced data instead::
 
 ``arithmetic = rational`` parses every number as an exact fraction
 (accepting both "3/2" and "1.5" spellings) and runs the whole scenario
-exactly. ``outputs`` selects artifacts: "events" (default) and/or "svg".
+exactly. ``simulate`` always writes events.csv; ``outputs`` lists
+"events" (the default) and may add "svg", the spacetime diagram.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DegenerateKinematicsError, ValidationError, ZeroEnergyError
 from .numeric import REL_TOL, Number, is_exact
@@ -130,12 +131,17 @@ class ParticleState:
                 )
             return
         # Floats take the drift in mass_drift's order.
-        drift = self.mass_drift()
+        drift = float(self.mass_drift())
+        if not isfinite(drift):
+            raise ValidationError(
+                f"particle {self.label}: the mass drift E**2 - P**2 - mu "
+                f"is {drift}, past the float range"
+            )
         scale = float(E * E + P * P + abs(mu))
-        if abs(float(drift)) > drift_tol * scale:
+        if abs(drift) > drift_tol * scale:
             raise ValidationError(
                 f"particle {self.label}: mu inconsistent with E, P "
-                f"(drift {float(drift):.3e} at scale {scale:.3e})"
+                f"(drift {drift:.3e} at scale {scale:.3e})"
             )
 
     @classmethod

@@ -159,7 +159,8 @@ def fixed_points(params: MirrorParams) -> FixedPoints:
     """Solve sigma**2 - 2*E_total*sigma + mu = 0 and classify the roots.
 
     For delta >= 0 the near root is the attractor (|f'| < 1) and the far
-    one the repeller (|f'| > 1).
+    one the repeller (|f'| > 1). At a fixed point s = mu/(2*E_total - s),
+    so f'(s) = mu/(2*E_total - s)**2 = s**2/mu.
     """
     near, far = _fixed_pair(params)
     delta = float(params.delta)
@@ -168,14 +169,8 @@ def fixed_points(params: MirrorParams) -> FixedPoints:
     at, re = near.real, far.real
     if delta == 0:
         return FixedPoints("parabolic", at, re, 1.0, 1.0)
-    mu, e = float(params.mu), float(params.E_total)
-    return FixedPoints(
-        kind="hyperbolic",
-        attracting=at,
-        repelling=re,
-        derivative_attracting=abs(mu / (2 * e - at) ** 2),
-        derivative_repelling=abs(mu / (2 * e - re) ** 2),
-    )
+    mu = float(params.mu)
+    return FixedPoints("hyperbolic", at, re, at * at / mu, re * re / mu)
 
 
 def e2_update(E2: Number, sigma1: Number, params: MirrorParams) -> Number:
@@ -584,19 +579,26 @@ def billiard_from_mirror(
 def _reduced_walk(
     events: list[CollisionEvent], start: MirrorState
 ) -> Iterator[MirrorState]:
-    """The reduced state in force after each event of a four-particle log.
+    """The reduced state in force after each event of a log simulated, in
+    either direction, from ``billiard_from_mirror(params, start)``.
 
-    Each collision of the leftmost pair (0, 1) starts the next collision
-    state: post-collision sigma of particle 0, post-collision energy of
-    particle 1, and the event's position and time. Every other event
-    leaves the state as it was, ``start`` until the first such collision.
+    Each collision of the leftmost pair (0, 1) gives the state of that
+    collision: particle 0's sigma and particle 1's energy just after it in
+    time, and the event's position and time. A forward log passes
+    collisions start.n + 1, start.n + 2, ...; a backward log undoes start.n
+    at the start time, then start.n - 1, ... The direction is read once,
+    from the first such event's time, so a float step that rounds to zero
+    cannot flip it. Other events keep the state, ``start`` at first.
     """
-    state = start
+    first = next((e for e in events if e.pair == (0, 1)), None)
+    backward = first is not None and first.t == start.t
+    step = -1 if backward else 1
+    n, state = start.n if backward else start.n + 1, start
     for event in events:
         if event.pair == (0, 1):
-            post0, post1 = event.post
-            sigma1 = post0.E + post0.P
-            state = MirrorState(state.n + 1, sigma1, post1.E, event.x, event.t)
+            p0, p1 = event.pre if backward else event.post
+            state = MirrorState(n, p0.E + p0.P, p1.E, event.x, event.t)
+            n += step
         yield state
 
 
@@ -604,28 +606,24 @@ def reduced_states_from_events(
     events: list[CollisionEvent], start: MirrorState
 ) -> list[MirrorState]:
     """Extract the reduced-coordinate sequence from a four-particle event
-    log: one state per collision of the leftmost pair."""
-    out = []
-    last = start
-    for state in _reduced_walk(events, start):
-        if state is not last:
-            out.append(state)
-            last = state
-    return out
+    log: one state per collision of the leftmost pair, in the log's
+    order."""
+    walk = zip(events, _reduced_walk(events, start))
+    return [state for event, state in walk if event.pair == (0, 1)]
 
 
 def mirror_columns(
     params: MirrorParams,
     start: MirrorState,
-    billiard: BilliardState,
     events: list[CollisionEvent],
 ) -> list[dict[str, Number]]:
     """The mirror-mode columns of events.csv: sigma1, E2, x1 and k in force
-    after each event of the log simulated from ``billiard``. Until the
-    first collision of the leftmost pair, sigma1 and E2 are the billiard's
-    own; then all four follow the last reduced state, with k recomputed
-    from it so that its rounding drift shows."""
-    p0, p1 = billiard.particles[:2]
+    after each event of the log simulated from
+    ``billiard_from_mirror(params, start)``. Until the first collision of
+    the leftmost pair, sigma1 and E2 are that billiard's own; then all
+    four follow the last such collision the log has passed, with k
+    recomputed from it so that its rounding drift shows."""
+    p0, p1 = billiard_from_mirror(params, start).particles[:2]
     first = replace(start, sigma1=p0.E + p0.P, E2=p1.E)
     rows = []
     for state in _reduced_walk(events, first):

@@ -293,9 +293,12 @@ class TestConfigMessages:
              "cross-check needs a mirror-mode config"),
             ("cross-check", _mirror("events = 30", "t_limit = 5"),
              "cross-check needs an event count"),
+            ("cross-check",
+             _mirror("events = 30", "events = 30\ndirection = backward"),
+             "cross-check runs forward only, not direction = backward"),
         ],
         ids=["mirror-general", "mirror-t_limit", "cross-check-general",
-             "cross-check-t_limit"],
+             "cross-check-t_limit", "cross-check-backward"],
     )
     def test_subcommand_guards(self, tmp_path, capsys, command, text, message):
         cfg = write(tmp_path, "s.ini", text)
@@ -404,6 +407,59 @@ class TestSimulateCommand:
         ):
             events_from_csv(_quote_wide_field(text))
         assert csv.field_size_limit() == limit
+
+    def test_quoted_record_reads_back(self):
+        """A quoted record goes through ``csv.reader`` and reads back as
+        written, also one that spans lines; the lines after it keep their
+        numbers."""
+        _, events = rb.simulate(initial_state(parse_config(MIRROR_CYCLE)),
+                                max_events=3)
+        lines = events_to_csv(events).splitlines()
+        lines[2] = ",".join(f'"{field}"' for field in lines[2].split(","))
+        fields = lines[3].split(",")
+        fields[1] = f'"{fields[1]}\n"'  # the time, then a line break
+        lines[3] = ",".join(fields)
+        assert events_from_csv("\n".join(lines)) == (events, "float")
+        lines[4] = lines[4].replace("false", "no", 1)
+        with pytest.raises(rb.ConfigError, match="^line 6, tachyonic: "):
+            events_from_csv("\n".join(lines))
+
+    def test_text_without_the_schema_tag_rejected(self):
+        text = events_to_csv([]).split("\n", 1)[1]
+        for bad in (text, "", "# relbilliards-mirror-v1\n" + text):
+            with pytest.raises(
+                rb.ConfigError, match="^not a relbilliards-events-v1 file$"
+            ):
+                events_from_csv(bad)
+
+    @pytest.mark.parametrize("mu, sigma1", [("4", "1"), ("5/4", "3/10")])
+    def test_backward_mirror_columns(self, tmp_path, mu, sigma1):
+        """A backward log's mirror columns follow the reduced orbit back
+        in time: one k on every row, and at each leftmost-pair collision
+        the state of that collision, n = 0, -1, -2, ..."""
+        text = (
+            MIRROR_CYCLE.replace("events = 30", "events = 60\n"
+                                 "arithmetic = rational\n"
+                                 "direction = backward")
+            .replace("mu = 4", f"mu = {mu}")
+            .replace("sigma1 = 1", f"sigma1 = {sigma1}")
+        )
+        cfg = write(tmp_path, "b.ini", text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = list(
+            csv.DictReader(
+                (tmp_path / "events.csv").read_text().splitlines()[1:]
+            )
+        )
+        assert len(rows) == 60
+        params, s0 = parse_config(text).mirror
+        assert {r["k"] for r in rows} == {str(params.k)}
+        leftmost = [r for r in rows if (r["i"], r["j"]) == ("0", "1")]
+        orbit = rb.reduced_trajectory(params, s0, 0, len(leftmost) - 1)
+        assert [
+            tuple(Fraction(r[key]) for key in ("t", "sigma1", "E2", "x1"))
+            for r in leftmost
+        ] == [(s.t, s.sigma1, s.E2, s.x1) for s in orbit[::-1]]
 
     def test_mirror_columns_cycle(self, tmp_path):
         cfg = write(tmp_path, "s.ini", MIRROR_CYCLE)
@@ -586,8 +642,10 @@ class TestOverrides:
              "--steps", "-2", "--out", "o"],
             ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
              "--x1", "-1", "--b-max", "-1"],
+            ["simulate", "--config", "m.ini", "--events", "1.5", "--out", "o"],
         ],
-        ids=["simulate", "mirror", "cross-check", "tachyon-scan", "period"],
+        ids=["simulate", "mirror", "cross-check", "tachyon-scan", "period",
+             "simulate-fraction"],
     )
     def test_negative_count_rejected(
         self, tmp_path, monkeypatch, capsys, argv
@@ -827,6 +885,16 @@ class TestEstimateCommand:
     def test_nonpositive_mass_rejected(self, capsys):
         assert main(["estimate", "--mass", "0"]) == 1
         assert main(["estimate", "--mass", "-2"]) == 1
+
+    def test_nonpositive_gravity_rejected(self, capsys):
+        with pytest.raises(
+            rb.ConfigError, match="^gravitational constant must be positive$"
+        ):
+            rb.estimate_tachyonic_scale(1.0, 0.0)
+        assert main(["estimate", "--mass", "1", "--gravity", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: gravitational constant must be positive\n"
+        )
 
 
 class TestRenderCommand:

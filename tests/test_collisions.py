@@ -267,12 +267,28 @@ def _paper_species_gas(seed: int) -> rb.BilliardState:
 class TestFloatUnderflow:
     """A head-on pair whose energies fall near 1e-163 has products
     sigma*rho of about 1e-325, which round to zero: the collision condition
-    then reads equal velocities, and the error says what happened."""
+    then reads equal velocities, and the error says what happened. So does
+    the error for a product past the float range."""
 
     def test_subnormal_product_named(self):
         i, j = rb.SigmaRho(2e-163, 0.0), rb.SigmaRho(0.0, 2e-163)
         with pytest.raises(rb.SimulationError, match="^float underflow: "):
             rb.resolve_collision(i, j)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1e300, 1e300, 1e300, 1e300),  # both products inf: was a swap
+            (1e300, 1e-10, 1e10, 1e300),  # one inf: was NoCollisionError
+            (-1e300, 1e300, 1e300, 1e300),  # -inf and inf
+        ],
+    )
+    def test_overflowing_product_named(self, args):
+        with pytest.raises(rb.SimulationError, match="^float overflow: "):
+            rb.collisions.collide(*args)
+        i, j = rb.SigmaRho(*args[:2]), rb.SigmaRho(*args[2:])
+        with pytest.raises(rb.SimulationError, match="^float overflow: "):
+            rb.collision_condition(i, j)
 
     @pytest.mark.parametrize(
         "i, j",
@@ -312,6 +328,8 @@ def _collide_by_sums(sigma_i, rho_i, sigma_j, rho_j):
     each energy sign read from the sum sigma + rho, built. The reference
     for ``TestComparisonForms``."""
     a, b = sigma_i * rho_j, sigma_j * rho_i
+    if type(a) is float and not (math.isfinite(a) and math.isfinite(b)):
+        raise rb.SimulationError("float overflow")
     if rb.collisions.near_zero(a - b, a, b):
         if rb.collisions._underflows(sigma_i, rho_j) or (
             rb.collisions._underflows(sigma_j, rho_i)

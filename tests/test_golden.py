@@ -106,7 +106,7 @@ GOLDEN = {
     "simulate-rational-backward:stdout":
         "69fa34d69a15def31f9ecc4c7fd95384bc36664bf06544189162386f7af418f4",
     "rat/events.csv":
-        "0dbb56e2ac3f9920145f06d8fdb1b40980fc6900de8417b50097b8c6d4c5fad4",
+        "bbb9643116f6704c428ef84325b536c07442d464eb92b2e705080bff18b51995",
     "rat/spacetime.svg":
         "101c14caab4645fa4fec1cee3484fddc6e68f992ba9c5e3038b2e77dbef8d6d3",
     "render:stdout":

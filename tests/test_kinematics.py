@@ -1,5 +1,6 @@
 """Kinematics: velocities, light-cone conversions, spin velocity."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,16 @@ class TestSigmaRhoRoundTrip:
         assert rb.to_sigma_rho(p).mass_squared == pytest.approx(3.0, rel=1e-12)
 
 
+class TestSigmaRhoVelocity:
+    def test_velocity_is_p_over_e(self):
+        assert rb.SigmaRho(3.0, 1.0).velocity == 0.5
+        assert rb.SigmaRho(Fraction(1, 3), 3).velocity == Fraction(-4, 5)
+
+    def test_zero_energy(self):
+        with pytest.raises(rb.ZeroEnergyError):
+            rb.SigmaRho(1.0, -1.0).velocity
+
+
 class TestSpinVelocity:
     def test_rest(self):
         assert rb.spin_velocity(1.0, 1.0) == 1.0
@@ -170,6 +181,27 @@ class TestParticleState:
         big = 10**6
         with pytest.raises(ValueError, match=r"off by -1/1000000000\)"):
             rb.ParticleState(big, 0, big * big + Fraction(1, 10**9), 0)
+
+    @pytest.mark.parametrize(
+        "E, P",
+        [
+            # mu = (E - P)*(E + P) is finite, E**2 and P**2 are inf: the
+            # drift is nan, and a head-on pair of these particles read
+            # equal velocities
+            (1e160, 1e160 - 2 * math.ulp(1e160)),
+            (1e160, 1e100),  # E**2 alone is inf: the drift is inf
+        ],
+    )
+    def test_drift_past_the_float_range_rejected(self, E, P):
+        mu = (E - P) * (E + P)
+        with pytest.raises(rb.ValidationError, match="past the float range"):
+            rb.ParticleState(E, P, mu, 0.0)
+        with pytest.raises(rb.ValidationError, match="past the float range"):
+            rb.ParticleState._evolved(E, P, mu, 0.0, 0)
+
+    def test_from_sigma_rho_takes_mu_from_the_product(self):
+        p = rb.ParticleState.from_sigma_rho(rb.SigmaRho(4.0, 0.25), 1.0, 2)
+        assert (p.E, p.P, p.mu, p.x, p.label) == (2.125, 1.875, 1.0, 1.0, 2)
 
     def test_massless_factory_exact_speed(self):
         for E in (0.3, -1.7, 2.0):

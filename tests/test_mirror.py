@@ -651,6 +651,63 @@ class TestOracleEquivalence:
         assert all(v == 0.0 for v in report.max_dev.values())
 
 
+class TestLogWalk:
+    """A four-particle log reads back as the reduced orbit in the log's own
+    time order: forward it passes collisions 1, 2, ...; backward it undoes
+    collision 0 first, then -1, -2, ..."""
+
+    @pytest.mark.parametrize(
+        "mu, sigma1",
+        [(Fraction(4), Fraction(1)), (Fraction(5, 4), Fraction(3, 10))],
+    )
+    def test_rational_logs_are_the_orbit(self, mu, sigma1):
+        params, s0 = rb.mirror_initial(
+            mu, Fraction(1), sigma1, Fraction(-1), t0=Fraction(0)
+        )
+        start = rb.billiard_from_mirror(params, s0)
+        _, log = rb.simulate(start, "backward", max_events=60)
+        back = rb.reduced_states_from_events(log, s0)
+        assert [s.n for s in back] == list(range(0, -20, -1))
+        assert back == rb.reduced_trajectory(params, s0, 0, 19)[::-1]
+        _, log = rb.simulate(start, "forward", max_events=60)
+        ahead = rb.reduced_states_from_events(log, s0)
+        assert ahead == rb.reduced_trajectory(params, s0, 20)[1:]
+
+    @pytest.mark.parametrize(
+        "mu, sigma1", [(1.25, 0.3), (4.005, 1.0), (0.75, 1.5000000000000002)]
+    )
+    def test_float_backward_log_matches_the_map(self, mu, sigma1):
+        params, s0 = rb.mirror_initial(mu, 1.0, sigma1, -1.0, t0=0.1)
+        start = rb.billiard_from_mirror(params, s0)
+        _, log = rb.simulate(start, "backward", max_events=180)
+        back = rb.reduced_states_from_events(log, s0)
+        orbit = rb.reduced_trajectory(params, s0, 0, 59)[::-1]
+        assert [s.n for s in back] == [s.n for s in orbit]
+        assert back[0].t == s0.t
+        for got, want in zip(back, orbit):
+            for key in ("sigma1", "E2", "x1", "t"):
+                assert rb.numeric.rel_diff(
+                    getattr(got, key), getattr(want, key)
+                ) <= 1e-9, (got.n, key)
+
+    def test_mirror_columns_hold_the_last_collision_passed(self):
+        params, s0 = rb.mirror_initial(4.0, 1.0, 1.0, -1.0)
+        for direction, sigmas in (
+            ("forward", [4.0, -2.0, 1.0]),
+            ("backward", [1.0, -2.0, 4.0]),
+        ):
+            start = rb.billiard_from_mirror(params, s0)
+            _, log = rb.simulate(start, direction, max_events=9)
+            rows = mirror.mirror_columns(params, s0, log)
+            assert len(rows) == len(log)
+            assert {row["k"] for row in rows} == {1.5}
+            passed = [
+                row["sigma1"] for row, event in zip(rows, log)
+                if event.pair == (0, 1)
+            ]
+            assert passed == sigmas
+
+
 class TestRefusals:
     """Each refusal of the reduced system is a named error."""
 
@@ -705,10 +762,17 @@ class TestRefusals:
             rb.period(P43)
 
     def test_far_root_at_twice_e_total(self):
-        """A float far root that rounds to 2*E_total leaves fixed_points'
-        derivative undefined, but not the multiplier, the conjugacy or
-        the limit products, which need only the roots."""
+        """A float far root that rounds to 2*E_total leaves the map's
+        denominator zero there, but not fixed_points, whose derivatives
+        are s**2/mu, nor the multiplier, the conjugacy or the limit
+        products, which need only the roots."""
         params, s0 = rb.mirror_initial(0.25, -1e150, -1.0, -1.0)
+        fp = rb.fixed_points(params)
+        assert (fp.kind, fp.attracting, fp.repelling) == (
+            "hyperbolic", 0.0, -2e150
+        )
+        assert fp.derivative_attracting == 0.0
+        assert fp.derivative_repelling == (-2e150) ** 2 / 0.25
         assert rb.multiplier(params) == 0
         assert rb.conjugacy_h(-1.0, params) == pytest.approx(5e-151)
         past, future = rb.limit_products(params, s0)
