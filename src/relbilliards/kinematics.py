@@ -137,8 +137,13 @@ class ParticleState:
                 f"particle {self.label}: the mass drift E**2 - P**2 - mu "
                 f"is {drift}, past the float range"
             )
-        scale = float(E * E + P * P + abs(mu))
-        if abs(drift) > drift_tol * scale:
+        # Each term is scaled before the sum, which can pass the float
+        # range while the drift does not.
+        bound = (
+            drift_tol * (E * E) + drift_tol * (P * P) + drift_tol * abs(mu)
+        )
+        if abs(drift) > bound:
+            scale = float(E * E + P * P + abs(mu))
             raise ValidationError(
                 f"particle {self.label}: mu inconsistent with E, P "
                 f"(drift {drift:.3e} at scale {scale:.3e})"

@@ -150,9 +150,12 @@ def _fixed_pair(params: MirrorParams) -> tuple[complex, complex]:
         root = math.sqrt(-delta)
         return complex(e, root), complex(e, -root)
     root = math.sqrt(delta)
-    if e > 0:
-        return complex(e - root), complex(e + root)
-    return complex(e + root), complex(e - root)
+    far = e + root if e > 0 else e - root
+    if delta == 0:
+        return complex(far), complex(far)
+    # near * far = mu: the quotient keeps the digits that e -+ root loses
+    # when |E_total| dwarfs sqrt(delta)
+    return complex(float(params.mu) / far), complex(far)
 
 
 def fixed_points(params: MirrorParams) -> FixedPoints:
@@ -584,11 +587,12 @@ def _reduced_walk(
 
     Each collision of the leftmost pair (0, 1) gives the state of that
     collision: particle 0's sigma and particle 1's energy just after it in
-    time, and the event's position and time. A forward log passes
-    collisions start.n + 1, start.n + 2, ...; a backward log undoes start.n
-    at the start time, then start.n - 1, ... The direction is read once,
-    from the first such event's time, so a float step that rounds to zero
-    cannot flip it. Other events keep the state, ``start`` at first.
+    time (``post``), and the event's position and time. A forward log
+    passes collisions start.n + 1, start.n + 2, ...; a backward log undoes
+    start.n at the start time, then start.n - 1, ... The direction, which
+    only numbers the collisions, is read once, from the first such event's
+    time, so a float step that rounds to zero cannot flip it. Other events
+    keep the state, ``start`` at first.
     """
     first = next((e for e in events if e.pair == (0, 1)), None)
     backward = first is not None and first.t == start.t
@@ -596,7 +600,7 @@ def _reduced_walk(
     n, state = start.n if backward else start.n + 1, start
     for event in events:
         if event.pair == (0, 1):
-            p0, p1 = event.pre if backward else event.post
+            p0, p1 = event.post
             state = MirrorState(n, p0.E + p0.P, p1.E, event.x, event.t)
             n += step
         yield state

@@ -1,14 +1,18 @@
 """Event-log and trajectory serialization.
 
 CSV files start with a schema tag line (``# relbilliards-events-v1
-arithmetic=float``) followed by an ordinary header row. Every number goes
-through the codec of ``numeric``: ``format_number`` writes a float with
-``repr``, which round-trips bit-for-bit, and a rational as a ``p/q``
-string of any length; ``parse_number`` reads each field back, a ConfigError
-naming its line and column if it is not a finite number; particle data
-that breaks ``mu = E**2 - P**2`` or has zero energy is one naming its line.
-Parsing a file back reconstructs the event list exactly. ``format_bool``
-writes the flags, also for the ``tachyon-scan`` rows of ``cli``.
+arithmetic=float``) followed by an ordinary header row. An event row's
+``_pre`` and ``_post`` columns are its pair's states just before and just
+after the collision in time, in a forward or a backward log alike (a
+backward log written by an earlier version, under the same tag, holds them
+in the run's order). Every number goes through the codec of ``numeric``:
+``format_number`` writes a float with ``repr``, which round-trips
+bit-for-bit, and a rational as a ``p/q`` string of any length;
+``parse_number`` reads each field back, a ConfigError naming its line and
+column if it is not a finite number; particle data that breaks
+``mu = E**2 - P**2`` or has zero energy is one naming its line. Parsing a
+file back reconstructs the event list exactly. ``format_bool`` writes the
+flags, also for the ``tachyon-scan`` rows of ``cli``.
 
 Files are written atomically (temp file + rename) so a crashed run never
 leaves a half-written artifact.

@@ -18,10 +18,11 @@ for bit. A backward run is the forward run of the time-reversed frame: it
 negates the start time, every velocity and ``t_limit`` once, on entry
 (``_frame``). Its particles stay in the caller's frame, where time
 reversal swaps sigma and rho, so ``_resolve`` hands the swapped pair to
-the collision law and writes its events in the caller's frame. The
-collision law is symmetric under that reversal, so a forward run followed
-by a backward run of the same length retraces itself (exactly in rational
-mode).
+the collision law and writes its events in the caller's frame, each with
+its ``pre`` and ``post`` states in time order. The collision law is
+symmetric under that reversal, so a forward run followed by a backward
+run of the same length retraces itself; in rational mode its log is the
+forward log with the batches of simultaneous events in reverse order.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class BilliardState:
 class CollisionEvent:
     """Log record of one resolved collision.
 
-    ``pre``/``post`` are in traversal order: in a backward run ``post``
-    holds the chronologically earlier states. Momenta are always physical
-    (never the internally time-reversed ones).
+    ``pre`` and ``post`` are the pair's states just before and just after
+    the collision in time, whichever way the run went, so a backward log
+    is the forward log of the same history in reverse. Momenta are always
+    physical (never the internally time-reversed ones).
     """
 
     t: Number
@@ -442,13 +444,16 @@ def _resolve(
         ps[i], ps[j] = post_i, post_j
         xs[i] = xs[j] = x_e
         vs[i], vs[j] = v_i, v_j
+        # The pair's states in the run's order; the event keeps time order.
+        run = (p.with_position(x_e), q.with_position(x_e)), (post_i, post_j)
+        pre, post = run[::-1] if back else run
         events.append(
             CollisionEvent(
                 t=t_event,
                 pair=(i, j),
                 x=x_e,
-                pre=(p.with_position(x_e), q.with_position(x_e)),
-                post=(post_i, post_j),
+                pre=pre,
+                post=post,
                 tachyonic=tachyonic,
                 sign_flips=(flip_i, flip_j),
             )

@@ -158,19 +158,28 @@ class TestResolveCollision:
         assert out.sr_i_after == rb.SigmaRho(j.sigma, j.rho)
         assert out.sr_j_after == rb.SigmaRho(i.sigma, i.rho)
 
+    # r = 1e-5 sends the outgoing energies to about +-1e5, where one ulp
+    # exceeds 1e-12 of the incoming ones: the sums round at the scale of
+    # the incoming and the outgoing terms together.
     @given(sigma_rho_pairs())
+    @example((rb.SigmaRho(1.0, 1.0), rb.SigmaRho(1.0, -0.99999)))
     def test_conservation_and_mass_preservation(self, pair):
         i, j = pair
         out = rb.resolve_collision(i, j)
-        scale = abs(i.energy) + abs(j.energy)
+        i_out, j_out = out.sr_i_after, out.sr_j_after
+        scale = (
+            abs(i.energy) + abs(j.energy)
+            + abs(i_out.energy) + abs(j_out.energy)
+        )
         assert abs(
-            (out.sr_i_after.energy + out.sr_j_after.energy)
-            - (i.energy + j.energy)
+            (i_out.energy + j_out.energy) - (i.energy + j.energy)
         ) <= 1e-12 * scale
-        pscale = abs(i.momentum) + abs(j.momentum) + scale
+        pscale = (
+            abs(i.momentum) + abs(j.momentum)
+            + abs(i_out.momentum) + abs(j_out.momentum) + scale
+        )
         assert abs(
-            (out.sr_i_after.momentum + out.sr_j_after.momentum)
-            - (i.momentum + j.momentum)
+            (i_out.momentum + j_out.momentum) - (i.momentum + j.momentum)
         ) <= 1e-12 * pscale
         for before, after in ((i, out.sr_i_after), (j, out.sr_j_after)):
             mscale = abs(before.sigma * before.rho) + 1e-6

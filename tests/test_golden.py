@@ -106,7 +106,7 @@ GOLDEN = {
     "simulate-rational-backward:stdout":
         "69fa34d69a15def31f9ecc4c7fd95384bc36664bf06544189162386f7af418f4",
     "rat/events.csv":
-        "bbb9643116f6704c428ef84325b536c07442d464eb92b2e705080bff18b51995",
+        "39c759bb7f2094b6f889539cf7ddd2231c23f959fb033afbd570288d0d645b4f",
     "rat/spacetime.svg":
         "101c14caab4645fa4fec1cee3484fddc6e68f992ba9c5e3038b2e77dbef8d6d3",
     "render:stdout":

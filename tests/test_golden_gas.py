@@ -65,19 +65,19 @@ GOLDEN = {
     "gas64-forward":
         "6b27a65dd472f0ec3e1437dae50d93a5fab8ff512bf520c156c61dafc7f919a5",
     "gas64-retraced":
-        "1956790f17e181bbc5361203a122be9613d0e720d27e8f73b3f144b052a20862",
+        "2485db26e51fc7cde3e7798d7d4c6d7c6b944c17b56b6bfd7d84e57599fa35f2",
     "gas64-t_limit-forward":
         "794ff1990d2628e97af172fbec1f4e61c2d10936a92eaa794b5fe79fcbcc4e38",
     "gas64-t_limit-backward":
-        "eb804af2d5e79a94ba28e715bd11d8094b49a741665f11982af6a10903b26359",
+        "0b100e585b3bb600159abb8ca3ab61a9497b7cc8e531f4312161b15ce49ad3bf",
     "fraction6-forward":
         "db93ae523acdffcf37fbd2f01978718821659ee77dc4fe02ee5bd3977e5781f2",
     "fraction6-retraced":
-        "245c215c845976af29874022a403350e67f01338b59420e0aee0e85f609bc84c",
+        "fc0fe0373da534869972d42c06b42bc2298612e7dd109c3997081e507a843f45",
     "mixed-forward":
         "a95b70caf7814d13154fdedf3f93d9cadba86b68a4eef4cebe2ff6116e265a28",
     "mixed-backward":
-        "2c2f0e49401db348b2dfa97ef743e71709a16ad4fd62c25fd5311d1f7e5a43b8",
+        "6057c395556cc5bb065e11817850e7eafb38f7835891ddb882e7f628db77342b",
 }
 
 

@@ -199,6 +199,18 @@ class TestParticleState:
         with pytest.raises(rb.ValidationError, match="past the float range"):
             rb.ParticleState._evolved(E, P, mu, 0.0, 0)
 
+    def test_drift_at_a_scale_past_the_float_range(self):
+        """E**2 + P**2 + |mu| overflows while the drift stays finite: the
+        drift bound is still formed, so a wrong mu is refused by name and
+        the consistent mu = E**2 - P**2 accepted."""
+        E, P = 1e154, 9e153
+        with pytest.raises(rb.ValidationError, match="mu inconsistent"):
+            rb.ParticleState(E, P, 5.0, 0.0)
+        with pytest.raises(rb.ValidationError, match="mu inconsistent"):
+            rb.ParticleState._evolved(E, P, 5.0, 0.0, 0)
+        p = rb.ParticleState(E, P, E * E - P * P, 0.0)
+        assert p.mass_drift() == 0.0
+
     def test_from_sigma_rho_takes_mu_from_the_product(self):
         p = rb.ParticleState.from_sigma_rho(rb.SigmaRho(4.0, 0.25), 1.0, 2)
         assert (p.E, p.P, p.mu, p.x, p.label) == (2.125, 1.875, 1.0, 1.0, 2)

@@ -109,6 +109,15 @@ class TestFixedPoints:
         assert fp.attracting == fp.repelling == 1.0
         assert fp.derivative_attracting == 1.0
 
+    @pytest.mark.parametrize("e_total", [1e8, -1e8, 1e20, 1e150, -1e150])
+    def test_near_root_at_large_e_total(self, e_total):
+        """Where E_total**2 dwarfs mu, the near root is about
+        mu/(2*E_total); E_total -+ sqrt(delta) would cancel to 0."""
+        fp = rb.fixed_points(rb.MirrorParams(0.25, e_total))
+        near = 0.25 / (2 * e_total)
+        assert fp.attracting == pytest.approx(near, rel=1e-15, abs=0)
+        assert fp.repelling == 2 * e_total
+
     def test_elliptic_conjugate_pair(self):
         fp = rb.fixed_points(P43)
         assert fp.kind == "elliptic"
@@ -765,15 +774,18 @@ class TestRefusals:
         """A float far root that rounds to 2*E_total leaves the map's
         denominator zero there, but not fixed_points, whose derivatives
         are s**2/mu, nor the multiplier, the conjugacy or the limit
-        products, which need only the roots."""
+        products, which need only the roots. The near root is mu/far."""
         params, s0 = rb.mirror_initial(0.25, -1e150, -1.0, -1.0)
         fp = rb.fixed_points(params)
         assert (fp.kind, fp.attracting, fp.repelling) == (
-            "hyperbolic", 0.0, -2e150
+            "hyperbolic", -1.25e-151, -2e150
         )
-        assert fp.derivative_attracting == 0.0
+        assert fp.derivative_attracting == (-1.25e-151) ** 2 / 0.25
         assert fp.derivative_repelling == (-2e150) ** 2 / 0.25
-        assert rb.multiplier(params) == 0
-        assert rb.conjugacy_h(-1.0, params) == pytest.approx(5e-151)
+        assert rb.multiplier(params) == -1.25e-151 / -2e150
+        assert rb.conjugacy_h(-1.0, params) == pytest.approx(
+            5e-151, rel=1e-15, abs=0
+        )
         past, future = rb.limit_products(params, s0)
-        assert past == float(params.k) * -2e150 and future == 0.0
+        assert past == float(params.k) * -2e150
+        assert future == float(params.k) * -1.25e-151

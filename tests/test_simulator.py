@@ -432,14 +432,15 @@ class TestBackwardObjectCost:
 
 
 def _time_reversed(value):
-    """A state or an event with every momentum and the clock negated."""
+    """A state or an event with every momentum and the clock negated, and
+    an event's earlier and later states exchanged."""
     def flip(ps):
         return tuple(p.momentum_reversed() for p in ps)
 
     if isinstance(value, rb.BilliardState):
         return rb.BilliardState(flip(value.particles), -value.t)
     return replace(
-        value, t=-value.t, pre=flip(value.pre), post=flip(value.post)
+        value, t=-value.t, pre=flip(value.post), post=flip(value.pre)
     )
 
 
@@ -480,7 +481,28 @@ class TestTimeReversal:
         assert repr(log) == repr([_time_reversed(e) for e in mirrored_log])
 
 
+def _batches_reversed(log):
+    """``log`` with its batches of simultaneous events in reverse order,
+    each batch left to right as the scheduler resolves it."""
+    batches = [list(b) for _, b in itertools.groupby(log, lambda e: e.t)]
+    return [event for batch in reversed(batches) for event in batch]
+
+
 class TestReversibility:
+    def test_backward_log_is_the_forward_log_reversed(self):
+        """An exact retrace to the start time logs the same collisions as
+        the forward run, each with the same earlier and later states."""
+        params, m0 = rb.mirror_initial(
+            Fraction(5, 4), Fraction(1), Fraction(3, 10), Fraction(-1),
+            t0=Fraction(0),
+        )
+        b0 = rb.billiard_from_mirror(params, m0)
+        end, log = rb.simulate(b0, max_events=200)
+        back, back_log = rb.simulate(end, "backward", t_limit=b0.t)
+        assert back == b0
+        assert len(log) >= 200
+        assert back_log == _batches_reversed(log)
+
     def test_mirror_exact_rational(self):
         params, m0 = rb.mirror_initial(
             Fraction(4), Fraction(1), Fraction(1), Fraction(-1), t0=Fraction(0)
@@ -668,7 +690,7 @@ class TestExactMixedSpecies:
     def test_conserves_and_retraces_or_fails_by_name(self, start):
         """A rational run of every species either stops with a named
         error, or conserves E and P exactly and a backward run to the start
-        time gives back the start state exactly."""
+        time gives back the start state and the reversed log exactly."""
         try:
             end, log = rb.simulate(start, max_events=12)
         except rb.BilliardError:
@@ -678,6 +700,7 @@ class TestExactMixedSpecies:
         back, back_log = rb.simulate(end, "backward", t_limit=start.t)
         assert back == start
         assert len(back_log) == len(log)
+        assert back_log == _batches_reversed(log)
 
 
 def _scan_and_heap(run):
