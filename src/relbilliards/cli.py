@@ -169,17 +169,22 @@ def _run_tachyon_scan(args) -> int:
     for mu in mus:
         for e_total in energies:
             for sigma1_0 in sigmas:
+                point = [format_number(v) for v in (mu, e_total, sigma1_0)]
                 params = mr.MirrorParams(mu, e_total)
                 label = mr.classify_tachyonic(params, sigma1_0)
-                count, consecutive = mr.tachyonic_census(
-                    params, sigma1_0, args.steps
-                )
+                try:
+                    count, consecutive = mr.tachyonic_census(
+                        params, sigma1_0, args.steps
+                    )
+                except PoleError as exc:
+                    names = ("mu", "E_total", "sigma1_0")
+                    where = ", ".join(map("=".join, zip(names, point)))
+                    raise PoleError(f"{where}: {exc}") from exc
                 agrees = mr.census_agrees(label, count, consecutive)
                 disagreements += 0 if agrees else 1
-                numbers = (mu, e_total, sigma1_0, params.delta)
                 lines.append(",".join([
-                    *map(format_number, numbers), label.value, str(count),
-                    format_bool(consecutive), format_bool(agrees),
+                    *point, format_number(params.delta), label.value,
+                    str(count), format_bool(consecutive), format_bool(agrees),
                 ]))
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import ParticleState, massless
-from .numeric import Number, near_zero, rel_diff
+from .numeric import REL_TOL, Number, near_zero, rel_diff
 from .simulator import BilliardState, CollisionEvent, simulate
 
 
@@ -69,7 +69,7 @@ class MirrorParams:
         return self.E_total * self.E_total - self.mu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MirrorState:
     """State at the n-th collision of particle 1: its light-cone coordinate
     and position, the inner-particle energy, and the collision time."""
@@ -91,9 +91,15 @@ class TachyonicCount(Enum):
 
 def _check_pole(sigma: Number, two_e: Number) -> Number:
     """The reduced map's denominator ``two_e - sigma``, where ``two_e`` is
-    2*E_total; PoleError where it vanishes."""
+    2*E_total; PoleError where it vanishes. A float denominator is tested
+    as ``near_zero`` tests it, written out: the same operations in the
+    same order, without the call."""
     denom = two_e - sigma
-    if near_zero(denom, two_e, sigma):
+    if (
+        abs(denom) <= REL_TOL * (abs(two_e) + abs(sigma))
+        if type(denom) is float
+        else near_zero(denom, two_e, sigma)
+    ):
         raise PoleError(
             f"pole of reduced map: sigma = {sigma!r} at 2*E_total"
         )
@@ -282,10 +288,17 @@ def reduced_trajectory(
     """Iterate the collision map n_backward steps back and n_forward steps
     ahead, accumulating collision times via tau = -x1 - x1_next.
 
-    The returned list is ordered by collision index. Raises ConfigError if
-    the initial state breaks the energy split, and PoleError with the
-    offending index if the orbit hits the map's pole.
+    The returned list is ordered by collision index. Raises
+    ValidationError for a negative count; ConfigError if the initial state
+    breaks the energy split; and PoleError, with the collision index, where
+    the forward orbit reaches the map's pole or sigma1 = 0, or the
+    backward one reaches sigma = 0.
     """
+    if n_forward < 0 or n_backward < 0:
+        raise ValidationError(
+            f"step counts must be nonnegative, got n_forward={n_forward!r}, "
+            f"n_backward={n_backward!r}"
+        )
     res = initial.E2 - e2_from_sigma(initial.sigma1, params)
     if not near_zero(res, initial.E2, initial.sigma1 / 2, params.E_total):
         raise ConfigError(
@@ -409,14 +422,10 @@ def period(
     return RationalPeriod(a, b, T, exact)
 
 
-def _tachyonic(sigma1: Number, two_e: Number) -> bool:
-    return sigma1 * (sigma1 - two_e) > 0
-
-
 def tachyonic_predicate(sigma1: Number, params: MirrorParams) -> bool:
     """Whether the collision entered with this sigma1 is tachyonic:
     0 < sigma1 * (sigma1 - 2*E_total) (strict; the boundary is not)."""
-    return _tachyonic(sigma1, 2 * params.E_total)
+    return sigma1 * (sigma1 - 2 * params.E_total) > 0
 
 
 def classify_tachyonic(
@@ -444,21 +453,38 @@ def tachyonic_census(
     """Count tachyonic collisions over the orbit window [-steps, steps].
 
     Returns (count, consecutive) where ``consecutive`` reports whether the
-    hits form one run of adjacent collision indices. A ConfigError rejects
-    sigma1_0 = 0, where the inverse map has its pole, as ``mirror_initial``
-    does.
+    hits form one run of adjacent collision indices. Raises ValidationError
+    for a negative ``steps``; ConfigError for sigma1_0 = 0, where the
+    inverse map has its pole, as ``mirror_initial`` does; and PoleError,
+    with the collision index of the sigma at the pole, where the forward
+    orbit reaches the reduced map's pole or the backward one reaches
+    sigma = 0.
     """
+    if steps < 0:
+        raise ValidationError(f"steps must be nonnegative, got {steps!r}")
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")
     two_e, mu = 2 * params.E_total, params.mu
-    hits = [0] if _tachyonic(sigma1_0, two_e) else []
+    hits = [0] if tachyonic_predicate(sigma1_0, params) else []
     ahead = behind = sigma1_0
+    # one step each way, with the predicate of tachyonic_predicate and the
+    # formula of inverse_map written out; a zero behind is the inverse's
+    # pole, so ZeroDivisionError is the one sign of it
     for n in range(1, steps + 1):
-        ahead = mu / _check_pole(ahead, two_e)  # reduced_map
-        behind = _inverse(behind, two_e, mu)
-        if _tachyonic(ahead, two_e):
+        try:
+            ahead = mu / _check_pole(ahead, two_e)  # reduced_map
+        except PoleError as exc:
+            raise PoleError(f"{exc} (at collision index {n - 1})") from exc
+        try:
+            behind = two_e - mu / behind
+        except ZeroDivisionError:
+            raise PoleError(
+                f"inverse map undefined at sigma = 0 "
+                f"(at collision index {1 - n})"
+            ) from None
+        if ahead * (ahead - two_e) > 0:
             hits.append(n)
-        if _tachyonic(behind, two_e):
+        if behind * (behind - two_e) > 0:
             hits.append(-n)
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
@@ -673,7 +699,8 @@ def cross_check(
     tol: float = 1e-9,
 ) -> CrossCheckReport:
     """Run the four-particle simulation against the reduced map and compare
-    (sigma1, E2, x1, t) at every collision of the leftmost pair."""
+    (sigma1, E2, x1, t) at every collision of the leftmost pair; a
+    negative ``n_collisions`` is reduced_trajectory's ValidationError."""
     oracle = reduced_trajectory(params, state0, n_collisions)[1:]
     billiard = billiard_from_mirror(params, state0)
     # each reduced collision costs three events: the inner-pair swap plus

@@ -208,13 +208,19 @@ def mirror_trajectory_to_csv(
     k: Number,
     arithmetic: str = "float",
 ) -> str:
-    """Render a reduced-map trajectory as CSV text."""
+    """Render a reduced-map trajectory as CSV text. A row of floats is
+    written with ``repr``, which is what ``format_number`` writes for a
+    float, in one f-string; any other row goes through ``format_number``."""
     k_text = format_number(k)
     lines = [f"# {MIRROR_SCHEMA} arithmetic={arithmetic}", _MIRROR_HEADER]
     for s in states:
-        lines.append(",".join([
-            str(s.n), *map(format_number, (s.t, s.sigma1, s.E2, s.x1)), k_text,
-        ]))
+        t, sigma1, E2, x1 = s.t, s.sigma1, s.E2, s.x1
+        if type(t) is type(sigma1) is type(E2) is type(x1) is float:
+            lines.append(f"{s.n},{t!r},{sigma1!r},{E2!r},{x1!r},{k_text}")
+        else:
+            lines.append(",".join([
+                str(s.n), *map(format_number, (t, sigma1, E2, x1)), k_text,
+            ]))
     lines.append("")
     return "\n".join(lines)
 

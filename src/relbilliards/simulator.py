@@ -499,6 +499,10 @@ def simulate(
         raise ValidationError(
             "need max_events and/or t_limit to bound the run"
         )
+    if max_events is not None and max_events < 0:
+        raise ValidationError(
+            f"max_events must be nonnegative, got {max_events!r}"
+        )
     if t_limit is not None:
         t_limit = -t_limit if back else t_limit
         if t_limit < t:

@@ -867,6 +867,20 @@ class TestTachyonScanCommand:
             "tachyon-scan", "--mu", ",", "--e-total", "1", "--sigma1", "3",
         ]) == 1
 
+    def test_pole_names_the_grid_point_and_the_index(self, capsys):
+        """The backward orbit of sigma1_0 = 0.5 reaches sigma = 0 at
+        collision -1 (2 - 1/0.5 = 0), where the inverse map has its pole."""
+        assert main([
+            "tachyon-scan", "--mu", "1", "--e-total", "1",
+            "--sigma1", "3,0.5", "--steps", "10",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: mu=1.0, E_total=1.0, sigma1_0=0.5: inverse map "
+            "undefined at sigma = 0 (at collision index -1)\n"
+        )
+
 
 class TestEstimateCommand:
     def test_neutron_scale(self, capsys):

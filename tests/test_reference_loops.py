@@ -1,0 +1,233 @@
+"""The reduced map's loops against their reference form.
+
+The reference below is the census and the state chain written with one
+helper call per operation: the pole test through ``near_zero``, the
+inverse through its own zero test, the tachyonic predicate as a function.
+``tachyonic_census`` and ``reduced_trajectory`` write the same arithmetic
+out in their loops, so on every input they must give the same values, bit
+for bit, and raise the same kind of error.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import relbilliards as rb
+from relbilliards import mirror
+from relbilliards.errors import ConfigError, PoleError
+from relbilliards.numeric import REL_TOL, near_zero, repr_number
+
+
+def _check_pole(sigma, two_e):
+    denom = two_e - sigma
+    if near_zero(denom, two_e, sigma):
+        raise PoleError(f"pole of reduced map: sigma = {sigma!r} at 2*E_total")
+    return denom
+
+
+def _inverse(sigma, two_e, mu):
+    if sigma == 0:
+        raise PoleError("inverse map undefined at sigma = 0")
+    return two_e - mu / sigma
+
+
+def _tachyonic(sigma1, two_e):
+    return sigma1 * (sigma1 - two_e) > 0
+
+
+def reference_census(params, sigma1_0, steps):
+    if sigma1_0 == 0:
+        raise ConfigError("sigma1 must be nonzero")
+    two_e, mu = 2 * params.E_total, params.mu
+    hits = [0] if _tachyonic(sigma1_0, two_e) else []
+    ahead = behind = sigma1_0
+    for n in range(1, steps + 1):
+        ahead = mu / _check_pole(ahead, two_e)
+        behind = _inverse(behind, two_e, mu)
+        if _tachyonic(ahead, two_e):
+            hits.append(n)
+        if _tachyonic(behind, two_e):
+            hits.append(-n)
+    hits.sort()
+    consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
+    return len(hits), consecutive
+
+
+def _next_state(state, two_e, mu):
+    sigma1, x1 = state.sigma1, state.x1
+    try:
+        denom = _check_pole(sigma1, two_e)
+        if sigma1 == 0:
+            raise PoleError("x1 update undefined at sigma1 = 0")
+    except PoleError as exc:
+        raise PoleError(f"{exc} (at collision index {state.n})") from exc
+    x1_next = x1 * mu / (sigma1 * sigma1)
+    tau = -x1 - x1_next
+    e2_next = state.E2 * sigma1 / denom
+    return rb.MirrorState(
+        state.n + 1, mu / denom, e2_next, x1_next, state.t + tau
+    )
+
+
+def _previous_state(state, two_e, mu):
+    sigma_prev = _inverse(state.sigma1, two_e, mu)
+    if sigma_prev == 0:
+        raise PoleError(
+            f"backward orbit reached sigma = 0 at collision index "
+            f"{state.n - 1}"
+        )
+    x1_prev = state.x1 * sigma_prev * sigma_prev / mu
+    e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+    tau = -x1_prev - state.x1
+    return rb.MirrorState(
+        state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
+    )
+
+
+def reference_trajectory(params, initial, n_forward, n_backward):
+    res = initial.E2 - mirror.e2_from_sigma(initial.sigma1, params)
+    if not near_zero(res, initial.E2, initial.sigma1 / 2, params.E_total):
+        raise ConfigError(
+            f"initial state violates the energy split (residual {res!r})"
+        )
+    two_e, mu = 2 * params.E_total, params.mu
+    forward = [initial]
+    for _ in range(n_forward):
+        forward.append(_next_state(forward[-1], two_e, mu))
+    backward = [initial]
+    for _ in range(n_backward):
+        backward.append(_previous_state(backward[-1], two_e, mu))
+    return backward[:0:-1] + forward
+
+
+def _outcome(fn, *args):
+    """What a call gave: its value, or its error's type and message.
+    Numbers are compared by ``repr``, which tells their type, -0.0 from
+    0.0 and every bit of a float."""
+    try:
+        value = fn(*args)
+    except (rb.BilliardError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, list):
+        return [
+            [s.n, *map(repr_number, (s.sigma1, s.E2, s.x1, s.t))]
+            for s in value
+        ]
+    return value
+
+
+def _same_census(mu, e_total, sigma1_0, steps=40):
+    try:
+        params = rb.MirrorParams(mu, e_total)
+    except ConfigError:
+        return
+    got = _outcome(mirror.tachyonic_census, params, sigma1_0, steps)
+    want = _outcome(reference_census, params, sigma1_0, steps)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        # the same error; the census adds the collision index to a pole
+        assert isinstance(got, tuple) and got[0] is want[0], (got, want)
+        assert got[1].startswith(want[1]), (got, want)
+    else:
+        assert got == want
+
+
+def _same_trajectory(mu, e_total, sigma1_0, steps=40):
+    try:
+        params, s0 = rb.mirror_initial(mu, e_total, sigma1_0, -1)
+    except (rb.BilliardError, ArithmeticError):
+        return
+    got = _outcome(rb.reduced_trajectory, params, s0, steps, steps)
+    assert got == _outcome(reference_trajectory, params, s0, steps, steps)
+
+
+def _pole_edge():
+    """Floats just inside and just outside REL_TOL of the pole at
+    2*E_total = 2, from below and from above: the last float that the
+    rule takes for the pole and the first one past it, each way."""
+    edge = []
+    for side in (-1, 1):
+        lo, hi = 0, 2**40  # steps of 2**-52 from 2; 0 is at the pole
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            sigma = 2 + side * mid * 2.0**-52
+            if abs(2 - sigma) <= REL_TOL * (2 + abs(sigma)):
+                lo = mid
+            else:
+                hi = mid
+        edge += [2 + side * lo * 2.0**-52, 2 + side * hi * 2.0**-52]
+    return edge
+
+
+PARAMS = [(1, 1), (4, 1), (0.75, 1), (5 / 4, 1), (1, -1), (0.25, 2)]
+
+#: sigma1_0 at 2*E_total = 2, the four floats at the edge of REL_TOL of
+#: it, and extreme values
+SIGMAS = [2, *_pole_edge(), 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+
+#: backward orbits that reach sigma = 0 at collision -1:
+#: 2*E_total - mu/sigma1_0 = 0
+BACKWARD_ZERO = [(1, 1, 0.5), (5 / 4, 1, 5 / 8), (4, -1, -2)]
+
+#: parameters at the ends of the float range
+EXTREME = [
+    (5e-324, 1, 1), (1e300, 1, 1), (1, 1e300, 1), (1, 5e-324, 1),
+    (5e-324, 1e300, 1), (1e300, 5e-324, 3), (4, 1, 1e300),
+]
+
+
+def _inputs():
+    grid = [(mu, e, s) for (mu, e), s in product(PARAMS, SIGMAS)]
+    return grid + BACKWARD_ZERO + EXTREME
+
+
+@pytest.mark.parametrize("mu, e_total, sigma1_0", _inputs())
+@pytest.mark.parametrize("num", [float, Fraction], ids=["float", "Fraction"])
+def test_same_as_reference(num, mu, e_total, sigma1_0):
+    args = num(mu), num(e_total), num(sigma1_0)
+    # exact values from the ends of the float range grow by hundreds of
+    # bits a step
+    steps = 40 if num is float else 12
+    _same_census(*args, steps=steps)
+    _same_trajectory(*args, steps=steps)
+
+
+@pytest.mark.parametrize(
+    "types", list(product((float, Fraction), repeat=3)),
+    ids=lambda types: "-".join(t.__name__ for t in types),
+)
+@pytest.mark.parametrize(
+    "mu, e_total, sigma1_0",
+    [(1, 1, 2), (1, 1, 0.5), (4, 1, 1), (0.75, 1, 3), (5 / 4, 1, 5 / 8)],
+)
+def test_mixed_types_same_as_reference(types, mu, e_total, sigma1_0):
+    """Each of mu, E_total and sigma1_0 as a float or a Fraction: the map
+    mixes the two, and a step's arithmetic may change type."""
+    args = [num(x) for num, x in zip(types, (mu, e_total, sigma1_0))]
+    _same_census(*args)
+    _same_trajectory(*args)
+
+
+def test_pole_edge_is_the_rule():
+    """Of the edge floats, the inner ones are the pole and the outer ones
+    are not, for the census (forward, at collision 0) as for the map."""
+    inside_lo, outside_lo, inside_hi, outside_hi = _pole_edge()
+    params = rb.MirrorParams(1.0, 1.0)
+    for sigma in (inside_lo, inside_hi):
+        with pytest.raises(PoleError, match=r"\(at collision index 0\)$"):
+            mirror.tachyonic_census(params, sigma, 1)
+    for sigma in (outside_lo, outside_hi):
+        mirror.tachyonic_census(params, sigma, 1)
+        mirror.reduced_map(sigma, params)
+
+
+@given(
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=-1e3, max_value=1e3).filter(bool),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_drawn_floats_same_as_reference(mu, e_total, sigma1_0):
+    _same_census(mu, e_total, sigma1_0, steps=60)
+    _same_trajectory(mu, e_total, sigma1_0, steps=60)

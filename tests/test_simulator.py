@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from conftest import any_particle, bradyon_gas, relative_error
-from relbilliards import simulator
+from relbilliards import mirror, simulator
 from test_golden_gas import _fraction_gas
 
 
@@ -560,6 +560,7 @@ class TestValidationErrors:
         p = rb.ParticleState(1.0, 0.0, 1.0, 0.0, 0)
         q = rb.ParticleState(1.0, 0.0, 1.0, -1.0, 1)
         s = rb.BilliardState((q, p), 0.0)
+        mirror_data = rb.mirror_initial(4.0, 1.0, 1.0, -1.0)
         calls = [
             lambda: rb.ParticleState(1.0, 0.0, 2.0, 0.0, 0),
             lambda: rb.massless(1.0, 0),
@@ -568,6 +569,11 @@ class TestValidationErrors:
             lambda: rb.simulate(s),
             lambda: rb.simulate(s, t_limit=-1.0),
             lambda: rb.tachyon_scale_bound(rb.MirrorParams(1.5, 1.0), -0.1),
+            lambda: rb.simulate(s, max_events=-3),
+            lambda: rb.reduced_trajectory(*mirror_data, -5, -3),
+            lambda: rb.reduced_trajectory(*mirror_data, 5, -3),
+            lambda: mirror.tachyonic_census(mirror_data[0], 1.0, -4),
+            lambda: mirror.cross_check(*mirror_data, -2),
         ]
         for call in calls:
             with pytest.raises(rb.ValidationError):
