@@ -176,10 +176,10 @@ def _run_tachyon_scan(args) -> int:
                     count, consecutive = mr.tachyonic_census(
                         params, sigma1_0, args.steps
                     )
-                except PoleError as exc:
+                except (PoleError, SimulationError) as exc:
                     names = ("mu", "E_total", "sigma1_0")
                     where = ", ".join(map("=".join, zip(names, point)))
-                    raise PoleError(f"{where}: {exc}") from exc
+                    raise type(exc)(f"{where}: {exc}") from exc
                 agrees = mr.census_agrees(label, count, consecutive)
                 disagreements += 0 if agrees else 1
                 lines.append(",".join([

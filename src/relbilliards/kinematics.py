@@ -13,7 +13,7 @@ resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 
 from .errors import DegenerateKinematicsError, ValidationError, ZeroEnergyError
@@ -82,12 +82,20 @@ class SigmaRho:
         return velocity(self.energy, self.momentum)
 
 
+def slot_setters(cls: type) -> tuple:
+    """The setters of a slotted dataclass's fields, in field order. Each
+    writes its slot directly, past a frozen class's ``__setattr__``: a
+    private constructor that calls them costs its fields and nothing more,
+    where the frozen ``__init__`` pays ``object.__setattr__`` per field."""
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+
+
 #: Drift bound for evolved data: dynamics that pass near a resolution pole
 #: legitimately amplify the drift beyond fresh-data levels.
 _EVOLVED_DRIFT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticleState:
     """One free particle: energy, momentum, stored squared mass, position.
 
@@ -97,7 +105,8 @@ class ParticleState:
     rounding noise, so ``mass_drift`` measures the accumulated error; it
     is reported, never corrected. Evolved data, rebuilt from light-cone
     coordinates or read back from an event log, goes through the internal
-    constructor ``_evolved`` and its looser bound instead.
+    constructor ``_evolved`` and its looser bound instead. Instances are
+    slotted: they have no ``__dict__``.
     """
 
     E: Number
@@ -110,12 +119,16 @@ class ParticleState:
         self._validate(REL_TOL)
 
     def _validate(self, drift_tol: float) -> None:
-        if self.E == 0:
+        E, P, mu = self.E, self.P, self.mu
+        if E == 0:
             raise ZeroEnergyError(
                 f"particle {self.label}: energy must be nonzero"
             )
-        E, P, mu = self.E, self.P, self.mu
-        if is_exact(E) and is_exact(P) and is_exact(mu):
+        # A float E, the common case, is told apart without a call.
+        if (
+            type(E) is not float
+            and is_exact(E) and is_exact(P) and is_exact(mu)
+        ):
             # With E = e/b, P = p/d and mu = m/n, E**2 - P**2 == mu reads
             # (e*d - p*b) * (e*d + p*b) * n == m * (b*d)**2 over ints, with
             # no gcd; the Fraction drift is built only for the message.
@@ -130,8 +143,10 @@ class ParticleState:
                     f"(off by {drift})"
                 )
             return
-        # Floats take the drift in mass_drift's order.
-        drift = float(self.mass_drift())
+        # The drift in mass_drift's order, written out; one of E, P and mu
+        # is a float, so the drift is one.
+        EE, PP = E * E, P * P
+        drift = EE - PP - mu
         if not isfinite(drift):
             raise ValidationError(
                 f"particle {self.label}: the mass drift E**2 - P**2 - mu "
@@ -139,11 +154,9 @@ class ParticleState:
             )
         # Each term is scaled before the sum, which can pass the float
         # range while the drift does not.
-        bound = (
-            drift_tol * (E * E) + drift_tol * (P * P) + drift_tol * abs(mu)
-        )
+        bound = drift_tol * EE + drift_tol * PP + drift_tol * abs(mu)
         if abs(drift) > bound:
-            scale = float(E * E + P * P + abs(mu))
+            scale = float(EE + PP + abs(mu))
             raise ValidationError(
                 f"particle {self.label}: mu inconsistent with E, P "
                 f"(drift {drift:.3e} at scale {scale:.3e})"
@@ -153,14 +166,15 @@ class ParticleState:
     def _unchecked(
         cls, E: Number, P: Number, mu: Number, x: Number, label: int
     ) -> "ParticleState":
-        """Build without ``__post_init__``. Results that change only x or
-        the sign of P need no check: E**2 - P**2 - mu stays bit-identical."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "E", E)
-        object.__setattr__(p, "P", P)
-        object.__setattr__(p, "mu", mu)
-        object.__setattr__(p, "x", x)
-        object.__setattr__(p, "label", label)
+        """Build by writing the slots, without ``__init__`` and its
+        check. Results that change only x or the sign of P need no check:
+        E**2 - P**2 - mu stays bit-identical."""
+        p = _new(cls)
+        _set_E(p, E)
+        _set_P(p, P)
+        _set_mu(p, mu)
+        _set_x(p, x)
+        _set_label(p, label)
         return p
 
     @classmethod
@@ -210,6 +224,10 @@ class ParticleState:
         if mu is None:
             mu = sr.mass_squared
         return cls._evolved(sr.energy, sr.momentum, mu, x, label)
+
+
+_new = object.__new__
+_set_E, _set_P, _set_mu, _set_x, _set_label = slot_setters(ParticleState)
 
 
 def to_sigma_rho(p: ParticleState) -> SigmaRho:

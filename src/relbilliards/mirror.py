@@ -43,7 +43,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .kinematics import ParticleState, massless
+from .kinematics import ParticleState, massless, slot_setters
 from .numeric import REL_TOL, Number, near_zero, rel_diff
 from .simulator import BilliardState, CollisionEvent, simulate
 
@@ -79,6 +79,27 @@ class MirrorState:
     E2: Number
     x1: Number
     t: Number
+
+    @classmethod
+    def _unchecked(
+        cls, n: int, sigma1: Number, E2: Number, x1: Number, t: Number
+    ) -> "MirrorState":
+        """Build by writing the slots, without ``__init__``: for the
+        states that the reduced map and the log walk build."""
+        s = _new(cls)
+        _set_n(s, n)
+        _set_sigma1(s, sigma1)
+        _set_E2(s, E2)
+        _set_x1(s, x1)
+        _set_t(s, t)
+        return s
+
+
+_new = object.__new__
+_set_n, _set_sigma1, _set_E2, _set_x1, _set_t = slot_setters(MirrorState)
+
+_INF = math.inf
+_INFINITIES = (_INF, -_INF)
 
 
 class TachyonicCount(Enum):
@@ -243,20 +264,36 @@ def mirror_initial(
 
 def _next_state(state: MirrorState, two_e: Number, mu: Number) -> MirrorState:
     """The state at collision n + 1: reduced_map, e2_update and x1_update
-    over one pole check, and the flight time tau = -x1 - x1_next."""
-    sigma1, x1 = state.sigma1, state.x1
+    over one pole check, and the flight time tau = -x1 - x1_next.
+
+    A zero sigma1, or a float one whose square underflows, is the
+    ZeroDivisionError of the x1 update. Since x1 < 0, tau > 0 and t only
+    grows, so an x1 or a t past the float range shows as a t that is not
+    below inf: one comparison per step."""
+    sigma1, x1, n = state.sigma1, state.x1, state.n
     try:
         denom = _check_pole(sigma1, two_e)
-        if sigma1 == 0:
-            raise PoleError("x1 update undefined at sigma1 = 0")
+        x1_next = x1 * mu / (sigma1 * sigma1)
     except PoleError as exc:
-        raise PoleError(f"{exc} (at collision index {state.n})") from exc
-    x1_next = x1 * mu / (sigma1 * sigma1)
+        raise PoleError(f"{exc} (at collision index {n})") from exc
+    except ZeroDivisionError:
+        if sigma1 == 0:
+            raise PoleError(
+                f"x1 update undefined at sigma1 = 0 (at collision index {n})"
+            ) from None
+        raise SimulationError(
+            f"float underflow: sigma1**2 is zero at sigma1 = {sigma1!r} "
+            f"(at collision index {n})"
+        ) from None
     tau = -x1 - x1_next
+    t_next = state.t + tau
+    if not t_next < _INF:
+        raise SimulationError(
+            f"float overflow: x1 = {x1_next!r}, t = {t_next!r} "
+            f"(at collision index {n + 1})"
+        )
     e2_next = state.E2 * sigma1 / denom
-    return MirrorState(
-        state.n + 1, mu / denom, e2_next, x1_next, state.t + tau
-    )
+    return MirrorState._unchecked(n + 1, mu / denom, e2_next, x1_next, t_next)
 
 
 def _previous_state(
@@ -264,19 +301,26 @@ def _previous_state(
 ) -> MirrorState:
     """The state at collision n - 1, by the inverse of each update; a
     PoleError where the backward orbit reaches sigma = 0, so that the
-    state handed back always has sigma1 != 0."""
+    state handed back always has sigma1 != 0. A zero sigma_prev is the
+    ZeroDivisionError of the E2 update; t only falls, so an x1 or a t past
+    the float range shows as a t that is not above -inf."""
+    n = state.n
     sigma_prev = _inverse(state.sigma1, two_e, mu)
-    if sigma_prev == 0:
-        raise PoleError(
-            f"backward orbit reached sigma = 0 at collision index "
-            f"{state.n - 1}"
-        )
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
-    e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+    try:
+        e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+    except ZeroDivisionError:
+        raise PoleError(
+            f"backward orbit reached sigma = 0 at collision index {n - 1}"
+        ) from None
     tau = -x1_prev - state.x1
-    return MirrorState(
-        state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
-    )
+    t_prev = state.t - tau
+    if not t_prev > -_INF:
+        raise SimulationError(
+            f"float overflow: x1 = {x1_prev!r}, t = {t_prev!r} "
+            f"(at collision index {n - 1})"
+        )
+    return MirrorState._unchecked(n - 1, sigma_prev, e2_prev, x1_prev, t_prev)
 
 
 def reduced_trajectory(
@@ -290,9 +334,11 @@ def reduced_trajectory(
 
     The returned list is ordered by collision index. Raises
     ValidationError for a negative count; ConfigError if the initial state
-    breaks the energy split; and PoleError, with the collision index, where
+    breaks the energy split; PoleError, with the collision index, where
     the forward orbit reaches the map's pole or sigma1 = 0, or the
-    backward one reaches sigma = 0.
+    backward one reaches sigma = 0; and SimulationError, with the
+    collision index, where a float sigma1 squares to zero or a float x1
+    or t leaves the float range.
     """
     if n_forward < 0 or n_backward < 0:
         raise ValidationError(
@@ -455,10 +501,11 @@ def tachyonic_census(
     Returns (count, consecutive) where ``consecutive`` reports whether the
     hits form one run of adjacent collision indices. Raises ValidationError
     for a negative ``steps``; ConfigError for sigma1_0 = 0, where the
-    inverse map has its pole, as ``mirror_initial`` does; and PoleError,
+    inverse map has its pole, as ``mirror_initial`` does; PoleError,
     with the collision index of the sigma at the pole, where the forward
     orbit reaches the reduced map's pole or the backward one reaches
-    sigma = 0.
+    sigma = 0; and SimulationError, with the collision index, where a
+    float sigma overflows.
     """
     if steps < 0:
         raise ValidationError(f"steps must be nonnegative, got {steps!r}")
@@ -469,7 +516,9 @@ def tachyonic_census(
     ahead = behind = sigma1_0
     # one step each way, with the predicate of tachyonic_predicate and the
     # formula of inverse_map written out; a zero behind is the inverse's
-    # pole, so ZeroDivisionError is the one sign of it
+    # pole, so ZeroDivisionError is the one sign of it. A float that
+    # leaves its range here is an infinity, never nan, and every infinity
+    # meets the predicate: only a hit is tested for one.
     for n in range(1, steps + 1):
         try:
             ahead = mu / _check_pole(ahead, two_e)  # reduced_map
@@ -483,12 +532,22 @@ def tachyonic_census(
                 f"(at collision index {1 - n})"
             ) from None
         if ahead * (ahead - two_e) > 0:
+            if ahead in _INFINITIES:
+                raise _overflow(ahead, n)
             hits.append(n)
         if behind * (behind - two_e) > 0:
+            if behind in _INFINITIES:
+                raise _overflow(behind, -n)
             hits.append(-n)
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
     return len(hits), consecutive
+
+
+def _overflow(sigma: float, n: int) -> SimulationError:
+    return SimulationError(
+        f"float overflow: sigma = {sigma!r} (at collision index {n})"
+    )
 
 
 def census_agrees(
@@ -627,7 +686,9 @@ def _reduced_walk(
     for event in events:
         if event.pair == (0, 1):
             p0, p1 = event.post
-            state = MirrorState(n, p0.E + p0.P, p1.E, event.x, event.t)
+            state = MirrorState._unchecked(
+                n, p0.E + p0.P, p1.E, event.x, event.t
+            )
             n += step
         yield state
 

@@ -190,14 +190,14 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
             state(num("E_j_post"), num("P_j_post"), pre[1].mu, j),
         )
         events.append(
-            CollisionEvent(
-                t=num("t"),
-                pair=(i, j),
-                x=x,
-                pre=pre,
-                post=post,
-                tachyonic=flag("tachyonic"),
-                sign_flips=(flag("sign_flip_i"), flag("sign_flip_j")),
+            CollisionEvent._unchecked(
+                num("t"),
+                (i, j),
+                x,
+                pre,
+                post,
+                flag("tachyonic"),
+                (flag("sign_flip_i"), flag("sign_flip_j")),
             )
         )
     return events, arithmetic

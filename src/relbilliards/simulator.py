@@ -44,7 +44,7 @@ from .errors import (
     TripleCollisionError,
     ValidationError,
 )
-from .kinematics import ParticleState
+from .kinematics import ParticleState, slot_setters
 from .numeric import REL_TOL, Number, is_exact, near_zero
 
 Direction = Literal["forward", "backward"]
@@ -88,7 +88,7 @@ class BilliardState:
         return sum(p.P for p in self.particles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionEvent:
     """Log record of one resolved collision.
 
@@ -105,6 +105,36 @@ class CollisionEvent:
     post: tuple[ParticleState, ParticleState]
     tachyonic: bool
     sign_flips: tuple[bool, bool]
+
+    @classmethod
+    def _unchecked(
+        cls,
+        t: Number,
+        pair: Pair,
+        x: Number,
+        pre: tuple[ParticleState, ParticleState],
+        post: tuple[ParticleState, ParticleState],
+        tachyonic: bool,
+        sign_flips: tuple[bool, bool],
+    ) -> "CollisionEvent":
+        """Build by writing the slots, without ``__init__``: for the
+        records that a run or a log reader builds."""
+        e = _new(cls)
+        _set_t(e, t)
+        _set_pair(e, pair)
+        _set_x(e, x)
+        _set_pre(e, pre)
+        _set_post(e, post)
+        _set_tachyonic(e, tachyonic)
+        _set_sign_flips(e, sign_flips)
+        return e
+
+
+_new = object.__new__
+(
+    _set_t, _set_pair, _set_x, _set_pre, _set_post, _set_tachyonic,
+    _set_sign_flips,
+) = slot_setters(CollisionEvent)
 
 
 def _frame(state: BilliardState, direction: Direction):
@@ -165,10 +195,11 @@ def _select(
     """
     if not cands:
         return []
-    dt_min = min(dt for _, dt in cands)
+    dts = [dt for _, dt in cands]
+    dt_min = min(dts)
     t_event = t + dt_min
     tol = 0  # an exact excess is positive: only the minimum ties
-    if not all(is_exact(dt) for _, dt in cands):
+    if float in map(type, dts):
         tol = REL_TOL * max(1.0, abs(float(t_event)))
     return [
         ((idx, idx + 1), t_event)
@@ -409,7 +440,8 @@ def _resolve(
     time-reversed if ``back``; ``ps`` and the events are in the caller's.
     """
     selected = [pair for pair, _ in found]
-    _check_disjoint(selected)
+    if len(selected) > 1:  # one pair shares no particle
+        _check_disjoint(selected)
 
     t_event = -t if back else t
     events = []
@@ -448,14 +480,8 @@ def _resolve(
         run = (p.with_position(x_e), q.with_position(x_e)), (post_i, post_j)
         pre, post = run[::-1] if back else run
         events.append(
-            CollisionEvent(
-                t=t_event,
-                pair=(i, j),
-                x=x_e,
-                pre=pre,
-                post=post,
-                tachyonic=tachyonic,
-                sign_flips=(flip_i, flip_j),
+            CollisionEvent._unchecked(
+                t_event, (i, j), x_e, pre, post, tachyonic, (flip_i, flip_j)
             )
         )
     return events

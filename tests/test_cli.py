@@ -689,6 +689,33 @@ class TestMirrorCommand:
         assert {r["k"] for r in rows} == {"1.5"}
 
 
+    @pytest.mark.parametrize(
+        "sigma1, message",
+        [
+            # sigma1**2 underflows to zero: the x1 update divides by it
+            ("1e-200", "float underflow: sigma1**2 is zero at "
+                       "sigma1 = 1e-200 (at collision index 0)"),
+            # sigma1**2 is subnormal: x1 at collision 1 overflows
+            ("1e-160", "float overflow: x1 = -inf, t = inf "
+                       "(at collision index 1)"),
+        ],
+    )
+    def test_float_range_is_a_named_error(
+        self, tmp_path, capsys, sigma1, message
+    ):
+        cfg = write(
+            tmp_path,
+            "tiny.ini",
+            MIRROR_CYCLE.replace("events = 30", "events = 3")
+            .replace("mu = 4", "mu = 1")
+            .replace("sigma1 = 1", f"sigma1 = {sigma1}"),
+        )
+        rc = main(["mirror", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "mirror.csv").exists()
+
+
 class TestCrossCheckCommand:
     def test_pass(self, tmp_path, capsys):
         cfg = write(tmp_path, "m.ini", MIRROR_CYCLE.replace("events = 30", "events = 99"))
@@ -879,6 +906,21 @@ class TestTachyonScanCommand:
         assert err == (
             "error: mu=1.0, E_total=1.0, sigma1_0=0.5: inverse map "
             "undefined at sigma = 0 (at collision index -1)\n"
+        )
+
+    def test_overflow_names_the_grid_point_and_the_index(self, capsys):
+        """mu / 5e-324 overflows, so the backward orbit of sigma1_0 =
+        5e-324 would reach sigma = -inf at collision -1, which meets the
+        tachyonic predicate: a named error, not a count."""
+        assert main([
+            "tachyon-scan", "--mu", "1", "--e-total", "1",
+            "--sigma1", "5e-324", "--steps", "3",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: mu=1.0, E_total=1.0, sigma1_0=5e-324: float overflow: "
+            "sigma = -inf (at collision index -1)\n"
         )
 
 

@@ -321,3 +321,52 @@ class TestExactValidation:
         rb.ParticleState(E, P, mu, 0)
         rb.ParticleState._evolved(minus_E, P, mu, 0, 1)
         assert built == 0
+
+
+def _accepted(E, P, mu, tol):
+    """The float rule of ``_validate``: the drift in ``mass_drift``'s
+    order against each term of the scale times the bound."""
+    drift = E * E - P * P - mu
+    return abs(drift) <= tol * (E * E) + tol * (P * P) + tol * abs(mu)
+
+
+def _edge_mus(E, P, tol):
+    """The last mu that the rule accepts and the first that it refuses,
+    below and above E**2 - P**2, in steps of its ulp, by bisection."""
+    mu0 = E * E - P * P
+    edge = []
+    for side in (-1, 1):
+        lo, hi = 0, 1
+        while _accepted(E, P, mu0 + side * hi * math.ulp(mu0), tol):
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _accepted(E, P, mu0 + side * mid * math.ulp(mu0), tol):
+                lo = mid
+            else:
+                hi = mid
+        edge += [mu0 + side * n * math.ulp(mu0) for n in (lo, hi)]
+    return edge
+
+
+class TestFloatValidationEdge:
+    """The float check writes out mass_drift's operations in its order, so
+    at the edge of the bound, where one rounding decides, the fresh and
+    the evolved constructors accept exactly what the rule accepts."""
+
+    @given(
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=-0.99, max_value=0.99),
+    )
+    def test_same_decision_at_the_edge(self, E, ratio):
+        P = ratio * E
+        for make, tol in (
+            (lambda mu: rb.ParticleState(E, P, mu, 0.0), 1e-12),
+            (lambda mu: rb.ParticleState._evolved(E, P, mu, 0.0, 0), 1e-6),
+        ):
+            for mu in _edge_mus(E, P, tol):
+                if _accepted(E, P, mu, tol):
+                    assert make(mu).mu == mu
+                else:
+                    with pytest.raises(rb.ValidationError):
+                        make(mu)

@@ -752,6 +752,45 @@ class TestRefusals:
         ):
             rb.reduced_trajectory(params, s0, 0, 3)
 
+    @pytest.mark.parametrize(
+        "mu, sigma1, n_forward, n_backward, message",
+        [
+            # sigma1**2 underflows to zero: the x1 update divides by it
+            (1.0, 1e-200, 3, 0, "float underflow: sigma1**2 is zero at "
+                                "sigma1 = 1e-200 (at collision index 0)"),
+            # sigma1**2 is subnormal: x1 and t overflow at collision 1
+            (1.0, 1e-160, 3, 0, "float overflow: x1 = -inf, t = inf "
+                                "(at collision index 1)"),
+            # x1 grows by sigma**2/mu = 4e300 per step back
+            (1e-300, 1.0, 0, 5, "float overflow: x1 = -inf, t = -inf "
+                                "(at collision index -2)"),
+        ],
+    )
+    def test_float_orbit_past_the_float_range(
+        self, mu, sigma1, n_forward, n_backward, message
+    ):
+        params, s0 = rb.mirror_initial(mu, 1.0, sigma1, -1.0)
+        with pytest.raises(rb.SimulationError) as info:
+            rb.reduced_trajectory(params, s0, n_forward, n_backward)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "mu, sigma1_0, message",
+        [
+            # mu / 5e-324 overflows: sigma = -inf at collision -1
+            (1.0, 5e-324, "float overflow: sigma = -inf "
+                          "(at collision index -1)"),
+            # mu / (2 - sigma1_0) = 1e300 / 1e-9 overflows at collision 1
+            (1e300, 2 - 1e-9, "float overflow: sigma = inf "
+                              "(at collision index 1)"),
+        ],
+    )
+    def test_census_past_the_float_range(self, mu, sigma1_0, message):
+        params = rb.MirrorParams(mu, 1.0)
+        with pytest.raises(rb.SimulationError) as info:
+            mirror.tachyonic_census(params, sigma1_0, 3)
+        assert str(info.value) == message
+
     def test_billiard_from_mirror(self):
         params = rb.MirrorParams(4.0, 1.0)
         for state, message in (

@@ -2,12 +2,15 @@
 
 The reference below is the census and the state chain written with one
 helper call per operation: the pole test through ``near_zero``, the
-inverse through its own zero test, the tachyonic predicate as a function.
+inverse through its own zero test, the tachyonic predicate as a function,
+and a float-range test of every sigma of the census and every x1 and t of
+the chain.
 ``tachyonic_census`` and ``reduced_trajectory`` write the same arithmetic
 out in their loops, so on every input they must give the same values, bit
 for bit, and raise the same kind of error.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from relbilliards import mirror
-from relbilliards.errors import ConfigError, PoleError
+from relbilliards.errors import ConfigError, PoleError, SimulationError
 from relbilliards.numeric import REL_TOL, near_zero, repr_number
 
 
@@ -38,6 +41,24 @@ def _tachyonic(sigma1, two_e):
     return sigma1 * (sigma1 - two_e) > 0
 
 
+def _finite(value):
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _finite_sigma(sigma, n):
+    if not _finite(sigma):
+        raise SimulationError(
+            f"float overflow: sigma = {sigma!r} (at collision index {n})"
+        )
+
+
+def _finite_state(x1, t, n):
+    if not (_finite(x1) and _finite(t)):
+        raise SimulationError(
+            f"float overflow: x1 = {x1!r}, t = {t!r} (at collision index {n})"
+        )
+
+
 def reference_census(params, sigma1_0, steps):
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")
@@ -47,6 +68,8 @@ def reference_census(params, sigma1_0, steps):
     for n in range(1, steps + 1):
         ahead = mu / _check_pole(ahead, two_e)
         behind = _inverse(behind, two_e, mu)
+        _finite_sigma(ahead, n)
+        _finite_sigma(behind, -n)
         if _tachyonic(ahead, two_e):
             hits.append(n)
         if _tachyonic(behind, two_e):
@@ -64,8 +87,14 @@ def _next_state(state, two_e, mu):
             raise PoleError("x1 update undefined at sigma1 = 0")
     except PoleError as exc:
         raise PoleError(f"{exc} (at collision index {state.n})") from exc
+    if sigma1 * sigma1 == 0:
+        raise SimulationError(
+            f"float underflow: sigma1**2 is zero at sigma1 = {sigma1!r} "
+            f"(at collision index {state.n})"
+        )
     x1_next = x1 * mu / (sigma1 * sigma1)
     tau = -x1 - x1_next
+    _finite_state(x1_next, state.t + tau, state.n + 1)
     e2_next = state.E2 * sigma1 / denom
     return rb.MirrorState(
         state.n + 1, mu / denom, e2_next, x1_next, state.t + tau
@@ -82,6 +111,7 @@ def _previous_state(state, two_e, mu):
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
     e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
     tau = -x1_prev - state.x1
+    _finite_state(x1_prev, state.t - tau, state.n - 1)
     return rb.MirrorState(
         state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
     )
@@ -231,3 +261,20 @@ def test_pole_edge_is_the_rule():
 def test_drawn_floats_same_as_reference(mu, e_total, sigma1_0):
     _same_census(mu, e_total, sigma1_0, steps=60)
     _same_trajectory(mu, e_total, sigma1_0, steps=60)
+
+
+@pytest.mark.parametrize(
+    "mu, e_total, sigma1_0",
+    [
+        (1.0, 1.0, 1e-200),  # sigma1**2 underflows to zero
+        (1.0, 1.0, 1e-160),  # x1 overflows at collision 1
+        (1e-300, 1.0, 1.0),  # x1 overflows backward
+        (1.0, 1.0, 5e-324),  # the census's sigma overflows backward
+        (1e300, 1.0, 2 - 1e-9),  # ... and forward
+    ],
+)
+def test_float_range_same_as_reference(mu, e_total, sigma1_0):
+    """Orbits that leave the float range stop with the reference's
+    error, although the loops test fewer values than the reference."""
+    _same_census(mu, e_total, sigma1_0)
+    _same_trajectory(mu, e_total, sigma1_0)

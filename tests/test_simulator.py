@@ -51,6 +51,21 @@ class TestNextCollisions:
         t0 = found[0][1]
         assert all(t == t0 for _, t in found)
 
+    def test_float_candidate_ties_an_exact_earliest(self):
+        """An exact earliest flight time (pair 0, 1 meets at t = 1) ties a
+        float one within REL_TOL (pair 2, 3 at 1 + 1e-14): one float among
+        the candidates turns the tolerance on, wherever it stands."""
+        s = rb.BilliardState(
+            (
+                rb.massless(Fraction(1), 1, x=Fraction(-1), label=0),
+                rb.massless(Fraction(1), -1, x=Fraction(1), label=1),
+                rb.massless(1.0, 1, x=3.0, label=2),
+                rb.massless(1.0, -1, x=5.0 + 2e-14, label=3),
+            ),
+            Fraction(0),
+        )
+        assert rb.next_collisions(s) == [((0, 1), 1), ((2, 3), 1)]
+
     def test_backward_times_negative(self):
         s = _two_body(-1.0, -0.5, None, 1.0, 0.5, None)  # diverging forward
         found = rb.next_collisions(s, "backward")
