@@ -82,12 +82,31 @@ class SigmaRho:
         return velocity(self.energy, self.momentum)
 
 
-def slot_setters(cls: type) -> tuple:
-    """The setters of a slotted dataclass's fields, in field order. Each
-    writes its slot directly, past a frozen class's ``__setattr__``: a
-    private constructor that calls them costs its fields and nothing more,
-    where the frozen ``__init__`` pays ``object.__setattr__`` per field."""
-    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+def unchecked_constructor(cls: type) -> type:
+    """Give a frozen slotted dataclass the classmethod ``_unchecked``,
+    which takes its fields in field order and builds a record by writing
+    its slots, past ``__init__``, its checks and the frozen ``__setattr__``.
+    It is generated as ``dataclasses`` generates ``__init__``: one slot
+    descriptor ``__set__`` call per field, written out. Apply it above
+    ``@dataclass(slots=True)``, which replaces the class. Generated names
+    start with ``__`` and do not end with it: a class body would mangle a
+    field of such a name, so none shadows a field.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {"__new": object.__new__}
+    lines = [
+        f"def _unchecked(cls, {', '.join(names)}):",
+        "    __record = __new(cls)",
+    ]
+    for name in names:
+        namespace[f"__write_{name}"] = vars(cls)[name].__set__
+        lines.append(f"    __write_{name}(__record, {name})")
+    lines.append("    return __record")
+    exec("\n".join(lines), namespace)
+    build = namespace["_unchecked"]
+    build.__qualname__ = f"{cls.__qualname__}._unchecked"
+    cls._unchecked = classmethod(build)
+    return cls
 
 
 #: Drift bound for evolved data: dynamics that pass near a resolution pole
@@ -95,6 +114,7 @@ def slot_setters(cls: type) -> tuple:
 _EVOLVED_DRIFT_TOL = 1e-6
 
 
+@unchecked_constructor
 @dataclass(frozen=True, slots=True)
 class ParticleState:
     """One free particle: energy, momentum, stored squared mass, position.
@@ -163,21 +183,6 @@ class ParticleState:
             )
 
     @classmethod
-    def _unchecked(
-        cls, E: Number, P: Number, mu: Number, x: Number, label: int
-    ) -> "ParticleState":
-        """Build by writing the slots, without ``__init__`` and its
-        check. Results that change only x or the sign of P need no check:
-        E**2 - P**2 - mu stays bit-identical."""
-        p = _new(cls)
-        _set_E(p, E)
-        _set_P(p, P)
-        _set_mu(p, mu)
-        _set_x(p, x)
-        _set_label(p, label)
-        return p
-
-    @classmethod
     def _evolved(
         cls, E: Number, P: Number, mu: Number, x: Number, label: int
     ) -> "ParticleState":
@@ -197,6 +202,9 @@ class ParticleState:
     def sigma_rho(self) -> SigmaRho:
         return SigmaRho(self.E + self.P, self.E - self.P)
 
+    # moved, with_position and momentum_reversed change only x or the sign
+    # of P, so they build through _unchecked with no check: E**2 - P**2 - mu
+    # stays bit-identical.
     def moved(self, dt: Number) -> "ParticleState":
         """The same particle after free flight for a time dt."""
         return self._unchecked(
@@ -224,10 +232,6 @@ class ParticleState:
         if mu is None:
             mu = sr.mass_squared
         return cls._evolved(sr.energy, sr.momentum, mu, x, label)
-
-
-_new = object.__new__
-_set_E, _set_P, _set_mu, _set_x, _set_label = slot_setters(ParticleState)
 
 
 def to_sigma_rho(p: ParticleState) -> SigmaRho:

@@ -43,7 +43,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .kinematics import ParticleState, massless, slot_setters
+from .kinematics import ParticleState, massless, unchecked_constructor
 from .numeric import REL_TOL, Number, near_zero, rel_diff
 from .simulator import BilliardState, CollisionEvent, simulate
 
@@ -69,6 +69,7 @@ class MirrorParams:
         return self.E_total * self.E_total - self.mu
 
 
+@unchecked_constructor
 @dataclass(frozen=True, slots=True)
 class MirrorState:
     """State at the n-th collision of particle 1: its light-cone coordinate
@@ -80,23 +81,6 @@ class MirrorState:
     x1: Number
     t: Number
 
-    @classmethod
-    def _unchecked(
-        cls, n: int, sigma1: Number, E2: Number, x1: Number, t: Number
-    ) -> "MirrorState":
-        """Build by writing the slots, without ``__init__``: for the
-        states that the reduced map and the log walk build."""
-        s = _new(cls)
-        _set_n(s, n)
-        _set_sigma1(s, sigma1)
-        _set_E2(s, E2)
-        _set_x1(s, x1)
-        _set_t(s, t)
-        return s
-
-
-_new = object.__new__
-_set_n, _set_sigma1, _set_E2, _set_x1, _set_t = slot_setters(MirrorState)
 
 _INF = math.inf
 _INFINITIES = (_INF, -_INF)
@@ -244,7 +228,10 @@ def mirror_initial(
     The inner energy follows from the energy split, and the motion
     constant k is recorded on the returned parameters. Initial data
     sitting exactly on a fixed point is rejected: there the inner
-    particles carry zero energy, which is not a legal particle.
+    particles carry zero energy, which is not a legal particle, and a
+    float E2 past the float range is a SimulationError. A float k past the
+    float range is recorded as it is: ``mirror`` refuses it after the
+    orbit, whose own errors come first.
     """
     params = MirrorParams(mu, E_total)
     if sigma1_0 == 0:
@@ -256,6 +243,11 @@ def mirror_initial(
         raise ConfigError(
             "initial sigma1 sits on a fixed point: the inner particles "
             "would carry zero energy"
+        )
+    if not -_INF < E2 < _INF:
+        raise SimulationError(
+            f"float overflow: E2 = {E2!r} at sigma1 = {sigma1_0!r} "
+            f"(at collision index 0)"
         )
     k = motion_constant(x1_0, E2, sigma1_0)
     state = MirrorState(n=0, sigma1=sigma1_0, E2=E2, x1=x1_0, t=t0)
@@ -269,7 +261,8 @@ def _next_state(state: MirrorState, two_e: Number, mu: Number) -> MirrorState:
     A zero sigma1, or a float one whose square underflows, is the
     ZeroDivisionError of the x1 update. Since x1 < 0, tau > 0 and t only
     grows, so an x1 or a t past the float range shows as a t that is not
-    below inf: one comparison per step."""
+    below inf; an x1 that underflows to zero and an E2 past the float
+    range are tested on their own."""
     sigma1, x1, n = state.sigma1, state.x1, state.n
     try:
         denom = _check_pole(sigma1, two_e)
@@ -287,12 +280,9 @@ def _next_state(state: MirrorState, two_e: Number, mu: Number) -> MirrorState:
         ) from None
     tau = -x1 - x1_next
     t_next = state.t + tau
-    if not t_next < _INF:
-        raise SimulationError(
-            f"float overflow: x1 = {x1_next!r}, t = {t_next!r} "
-            f"(at collision index {n + 1})"
-        )
     e2_next = state.E2 * sigma1 / denom
+    if not (t_next < _INF and x1_next < 0 and -_INF < e2_next < _INF):
+        raise _past_float_range(x1_next, e2_next, t_next, n + 1)
     return MirrorState._unchecked(n + 1, mu / denom, e2_next, x1_next, t_next)
 
 
@@ -303,7 +293,8 @@ def _previous_state(
     PoleError where the backward orbit reaches sigma = 0, so that the
     state handed back always has sigma1 != 0. A zero sigma_prev is the
     ZeroDivisionError of the E2 update; t only falls, so an x1 or a t past
-    the float range shows as a t that is not above -inf."""
+    the float range shows as a t that is not above -inf, and x1 and E2 are
+    tested as in ``_next_state``."""
     n = state.n
     sigma_prev = _inverse(state.sigma1, two_e, mu)
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
@@ -315,12 +306,23 @@ def _previous_state(
         ) from None
     tau = -x1_prev - state.x1
     t_prev = state.t - tau
-    if not t_prev > -_INF:
-        raise SimulationError(
-            f"float overflow: x1 = {x1_prev!r}, t = {t_prev!r} "
-            f"(at collision index {n - 1})"
-        )
+    if not (t_prev > -_INF and x1_prev < 0 and -_INF < e2_prev < _INF):
+        raise _past_float_range(x1_prev, e2_prev, t_prev, n - 1)
     return MirrorState._unchecked(n - 1, sigma_prev, e2_prev, x1_prev, t_prev)
+
+
+def _past_float_range(
+    x1: float, E2: float, t: float, n: int
+) -> SimulationError:
+    """The SimulationError of a float reduced state at collision n whose
+    t, E2 or x1, the first of them in that order, left the float range."""
+    if not -_INF < t < _INF:
+        what = f"overflow: x1 = {x1!r}, t = {t!r}"
+    elif not -_INF < E2 < _INF:
+        what = f"overflow: E2 = {E2!r}, x1 = {x1!r}"
+    else:
+        what = f"underflow: x1 = {x1!r}"
+    return SimulationError(f"float {what} (at collision index {n})")
 
 
 def reduced_trajectory(
@@ -337,8 +339,8 @@ def reduced_trajectory(
     breaks the energy split; PoleError, with the collision index, where
     the forward orbit reaches the map's pole or sigma1 = 0, or the
     backward one reaches sigma = 0; and SimulationError, with the
-    collision index, where a float sigma1 squares to zero or a float x1
-    or t leaves the float range.
+    collision index, where a float sigma1 squares to zero, a float x1, E2
+    or t leaves the float range, or x1 underflows to zero.
     """
     if n_forward < 0 or n_backward < 0:
         raise ValidationError(

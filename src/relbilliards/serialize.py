@@ -10,9 +10,12 @@ in the run's order). Every number goes through the codec of ``numeric``:
 bit-for-bit, and a rational as a ``p/q`` string of any length;
 ``parse_number`` reads each field back, a ConfigError naming its line and
 column if it is not a finite number; particle data that breaks
-``mu = E**2 - P**2`` or has zero energy is one naming its line. Parsing a
-file back reconstructs the event list exactly. ``format_bool`` writes the
-flags, also for the ``tachyon-scan`` rows of ``cli``.
+``mu = E**2 - P**2`` or has zero energy is one naming its line. The file
+holds no labels: each state reads back with its particle index as its
+label. Parsing a file back therefore reconstructs the event list exactly
+when every label is its particle's index, as ``parse_config`` and
+``billiard_from_mirror`` make them. ``format_bool`` writes the flags,
+also for the ``tachyon-scan`` rows of ``cli``.
 
 Files are written atomically (temp file + rename) so a crashed run never
 leaves a half-written artifact.
@@ -151,8 +154,8 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         raise ConfigError("unexpected column layout")
 
     events = []
-    for num, row in records:
-        where = f"line {num}"
+    for line_no, row in records:
+        where = f"line {line_no}"
         if len(row) != len(_EVENT_FIELDS):
             raise ConfigError(
                 f"{where}: {len(row)} fields, expected {len(_EVENT_FIELDS)}"

@@ -44,7 +44,7 @@ from .errors import (
     TripleCollisionError,
     ValidationError,
 )
-from .kinematics import ParticleState, slot_setters
+from .kinematics import ParticleState, unchecked_constructor
 from .numeric import REL_TOL, Number, is_exact, near_zero
 
 Direction = Literal["forward", "backward"]
@@ -88,6 +88,7 @@ class BilliardState:
         return sum(p.P for p in self.particles)
 
 
+@unchecked_constructor
 @dataclass(frozen=True, slots=True)
 class CollisionEvent:
     """Log record of one resolved collision.
@@ -105,36 +106,6 @@ class CollisionEvent:
     post: tuple[ParticleState, ParticleState]
     tachyonic: bool
     sign_flips: tuple[bool, bool]
-
-    @classmethod
-    def _unchecked(
-        cls,
-        t: Number,
-        pair: Pair,
-        x: Number,
-        pre: tuple[ParticleState, ParticleState],
-        post: tuple[ParticleState, ParticleState],
-        tachyonic: bool,
-        sign_flips: tuple[bool, bool],
-    ) -> "CollisionEvent":
-        """Build by writing the slots, without ``__init__``: for the
-        records that a run or a log reader builds."""
-        e = _new(cls)
-        _set_t(e, t)
-        _set_pair(e, pair)
-        _set_x(e, x)
-        _set_pre(e, pre)
-        _set_post(e, post)
-        _set_tachyonic(e, tachyonic)
-        _set_sign_flips(e, sign_flips)
-        return e
-
-
-_new = object.__new__
-(
-    _set_t, _set_pair, _set_x, _set_pre, _set_post, _set_tachyonic,
-    _set_sign_flips,
-) = slot_setters(CollisionEvent)
 
 
 def _frame(state: BilliardState, direction: Direction):

@@ -339,6 +339,21 @@ class TestSimulateCommand:
         assert arithmetic == "float"
         assert back == events
 
+    def test_round_trip_reads_labels_as_indices(self):
+        """The log holds no labels: each state reads back with its
+        particle index as its label. A log whose labels are their indices
+        reads back as itself; one left at the default label 0 does not."""
+        for labels, same in (((0, 1), True), ((0, 0), False)):
+            start = rb.BilliardState((
+                rb.ParticleState(1.25, 0.75, 1.0, 0.0, labels[0]),
+                rb.ParticleState(1.25, -0.75, 1.0, 1.0, labels[1]),
+            ))
+            _, events = rb.simulate(start, max_events=1)
+            back, _ = events_from_csv(events_to_csv(events))
+            assert [p.label for p in back[0].pre] == [0, 1]
+            assert [p.label for p in events[0].pre] == list(labels)
+            assert (back == events) is same
+
     def test_round_trip_rational(self, tmp_path):
         text_cfg = MIRROR_CYCLE.replace(
             "events = 30", "events = 30\narithmetic = rational"
@@ -698,6 +713,9 @@ class TestMirrorCommand:
             # sigma1**2 is subnormal: x1 at collision 1 overflows
             ("1e-160", "float overflow: x1 = -inf, t = inf "
                        "(at collision index 1)"),
+            # E2 * sigma1 overflows at collision 1, and x1 underflows
+            ("1e200", "float overflow: E2 = inf, x1 = -0.0 "
+                      "(at collision index 1)"),
         ],
     )
     def test_float_range_is_a_named_error(
@@ -714,6 +732,47 @@ class TestMirrorCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "mirror.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mu, e_total, sigma1, commands, message",
+        [
+            # E2 * sigma1 overflows at collision 1, and x1 underflows
+            ("4", "1", "1e300", ["mirror", "cross-check"],
+             "float overflow: E2 = inf, x1 = -0.0 (at collision index 1)"),
+            # mu / sigma1 overflows in the energy split at collision 0
+            ("1", "1", "5e-324", ["mirror", "cross-check"],
+             "float overflow: E2 = -inf at sigma1 = 5e-324 "
+             "(at collision index 0)"),
+            # k = x1 * E2 / sigma1 overflows; mirror writes it in every row
+            ("1", "1e300", "1e-10", ["mirror"],
+             "float overflow: k = -inf (at collision index 0)"),
+        ],
+    )
+    def test_float_overflow_is_a_named_error(
+        self, tmp_path, capsys, mu, e_total, sigma1, commands, message
+    ):
+        """Exit 2 and no file in float arithmetic; the same numbers run
+        in rational arithmetic."""
+        config = (
+            MIRROR_CYCLE.replace("events = 30", "events = 1")
+            .replace("mu = 4", f"mu = {mu}")
+            .replace("E_total = 1", f"E_total = {e_total}")
+            .replace("sigma1 = 1", f"sigma1 = {sigma1}")
+        )
+        cfg = write(tmp_path, "float.ini", config)
+        for command in commands:
+            out = tmp_path / command
+            rc = main([command, "--config", cfg, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+        rational = config.replace(
+            "mode = mirror", "mode = mirror\narithmetic = rational"
+        )
+        cfg = write(tmp_path, "rational.ini", rational)
+        for command in commands:
+            out = tmp_path / f"rational-{command}"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
 
 
 class TestCrossCheckCommand:

@@ -764,6 +764,20 @@ class TestRefusals:
             # x1 grows by sigma**2/mu = 4e300 per step back
             (1e-300, 1.0, 0, 5, "float overflow: x1 = -inf, t = -inf "
                                 "(at collision index -2)"),
+            # E2 * sigma1 overflows while sigma1**2 does, so x1 underflows
+            (4.0, 1e300, 1, 0, "float overflow: E2 = inf, x1 = -0.0 "
+                               "(at collision index 1)"),
+            (1.0, 1e200, 1, 0, "float overflow: E2 = inf, x1 = -0.0 "
+                               "(at collision index 1)"),
+            # x1 * mu / sigma1**2 = -5e-326 underflows on its own
+            (5e-324, 10.0, 1, 0, "float underflow: x1 = -0.0 "
+                                 "(at collision index 1)"),
+            # one step back from sigma1 just past mu / 2, sigma is 2.2e-16:
+            # E2 overflows and x1 underflows, or x1 underflows alone
+            (1e300, 5.000000000000001e299, 0, 1,
+             "float overflow: E2 = -inf, x1 = -0.0 (at collision index -1)"),
+            (3e292, 1.5000000000000002e292, 0, 1,
+             "float underflow: x1 = -0.0 (at collision index -1)"),
         ],
     )
     def test_float_orbit_past_the_float_range(
@@ -773,6 +787,38 @@ class TestRefusals:
         with pytest.raises(rb.SimulationError) as info:
             rb.reduced_trajectory(params, s0, n_forward, n_backward)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "initial, n_forward, n_backward, message",
+        [
+            # E2 * sigma1 = 1e310 overflows while x1 = -1e-20 is in range
+            ((1.0, 1e300, 1e10, -1.0), 1, 0,
+             "float overflow: E2 = inf, x1 = -1e-20 (at collision index 1)"),
+            # one step back, sigma = 2.2e-16: x1 is subnormal, not zero
+            ((1e300, 1.0, 5.000000000000001e299, -1e20), 0, 1,
+             "float overflow: E2 = -inf, x1 = -4.93038065763e-312 "
+             "(at collision index -1)"),
+        ],
+    )
+    def test_float_e2_alone_past_the_float_range(
+        self, initial, n_forward, n_backward, message
+    ):
+        params, s0 = rb.mirror_initial(*initial)
+        with pytest.raises(rb.SimulationError) as info:
+            rb.reduced_trajectory(params, s0, n_forward, n_backward)
+        assert str(info.value) == message
+
+    def test_float_initial_state_past_the_float_range(self):
+        # mu / sigma1 overflows in the energy split
+        with pytest.raises(rb.SimulationError) as info:
+            rb.mirror_initial(1.0, 1.0, 5e-324, -1.0)
+        assert str(info.value) == (
+            "float overflow: E2 = -inf at sigma1 = 5e-324 "
+            "(at collision index 0)"
+        )
+        exact = [Fraction(v) for v in (1.0, 1.0, 5e-324, -1.0)]
+        params, s0 = rb.mirror_initial(*exact)
+        assert len(rb.reduced_trajectory(params, s0, 2, 2)) == 5
 
     @pytest.mark.parametrize(
         "mu, sigma1_0, message",

@@ -3,6 +3,7 @@ MirrorState are slotted, and each has one private constructor,
 ``_unchecked``, that writes its slots instead of running ``__init__``."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,25 @@ class TestSlottedRecords:
         assert getattr(record, name) != value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, value)
+
+    def test_private_constructor_takes_the_fields(
+        self, cls, args, name, value
+    ):
+        """``_unchecked`` is a classmethod whose parameters are the
+        fields, in field order, each positional and without a default; a
+        wrong number of arguments is a TypeError."""
+        assert isinstance(vars(cls)["_unchecked"], classmethod)
+        params = inspect.signature(cls._unchecked).parameters.values()
+        assert [p.name for p in params] == [
+            f.name for f in dataclasses.fields(cls)
+        ]
+        for p in params:
+            assert p.kind is p.POSITIONAL_OR_KEYWORD
+            assert p.default is p.empty
+        with pytest.raises(TypeError):
+            cls._unchecked(*args[:-1])
+        with pytest.raises(TypeError):
+            cls._unchecked(*args, value)
 
     def test_private_constructor_builds_the_same_record(
         self, cls, args, name, value

@@ -3,8 +3,8 @@
 The reference below is the census and the state chain written with one
 helper call per operation: the pole test through ``near_zero``, the
 inverse through its own zero test, the tachyonic predicate as a function,
-and a float-range test of every sigma of the census and every x1 and t of
-the chain.
+and a float-range test of every sigma of the census and every x1, E2 and
+t of the chain, with x1 = 0 as an underflow.
 ``tachyonic_census`` and ``reduced_trajectory`` write the same arithmetic
 out in their loops, so on every input they must give the same values, bit
 for bit, and raise the same kind of error.
@@ -52,10 +52,19 @@ def _finite_sigma(sigma, n):
         )
 
 
-def _finite_state(x1, t, n):
+def _finite_state(x1, E2, t, n):
     if not (_finite(x1) and _finite(t)):
         raise SimulationError(
             f"float overflow: x1 = {x1!r}, t = {t!r} (at collision index {n})"
+        )
+    if not _finite(E2):
+        raise SimulationError(
+            f"float overflow: E2 = {E2!r}, x1 = {x1!r} "
+            f"(at collision index {n})"
+        )
+    if not x1 < 0:
+        raise SimulationError(
+            f"float underflow: x1 = {x1!r} (at collision index {n})"
         )
 
 
@@ -94,8 +103,8 @@ def _next_state(state, two_e, mu):
         )
     x1_next = x1 * mu / (sigma1 * sigma1)
     tau = -x1 - x1_next
-    _finite_state(x1_next, state.t + tau, state.n + 1)
     e2_next = state.E2 * sigma1 / denom
+    _finite_state(x1_next, e2_next, state.t + tau, state.n + 1)
     return rb.MirrorState(
         state.n + 1, mu / denom, e2_next, x1_next, state.t + tau
     )
@@ -111,7 +120,7 @@ def _previous_state(state, two_e, mu):
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
     e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
     tau = -x1_prev - state.x1
-    _finite_state(x1_prev, state.t - tau, state.n - 1)
+    _finite_state(x1_prev, e2_prev, state.t - tau, state.n - 1)
     return rb.MirrorState(
         state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
     )
@@ -271,6 +280,11 @@ def test_drawn_floats_same_as_reference(mu, e_total, sigma1_0):
         (1e-300, 1.0, 1.0),  # x1 overflows backward
         (1.0, 1.0, 5e-324),  # the census's sigma overflows backward
         (1e300, 1.0, 2 - 1e-9),  # ... and forward
+        (1.0, 1.0, 1e200),  # E2 overflows, x1 underflows at collision 1
+        (5e-324, 1.0, 10.0),  # x1 underflows at collision 1
+        (1e300, 1.0, 5.000000000000001e299),  # E2 overflows backward
+        (3e292, 1.0, 1.5000000000000002e292),  # x1 underflows backward
+        (1.0, 1e300, 1e10),  # E2 overflows alone at collision 1
     ],
 )
 def test_float_range_same_as_reference(mu, e_total, sigma1_0):
