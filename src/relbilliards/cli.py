@@ -9,7 +9,6 @@ cross-check tolerance failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -107,12 +106,8 @@ def _run_mirror(args) -> int:
     n_fwd = config.max_events if config.direction == "forward" else 0
     n_bwd = config.max_events if config.direction == "backward" else 0
     states = mr.reduced_trajectory(params, state, n_fwd, n_bwd)
-    # k, written in every row, is tested after the orbit's own errors
-    if not -math.inf < params.k < math.inf:
-        raise SimulationError(
-            f"float overflow: k = {params.k!r} (at collision index 0)"
-        )
-    text = mirror_trajectory_to_csv(states, params.k, config.arithmetic)
+    k = mr.finite_k(params.k, state.n)
+    text = mirror_trajectory_to_csv(states, k, config.arithmetic)
     out = os.path.join(args.out, "mirror.csv")
     write_atomic(out, text)
     print(f"wrote {out} ({len(states)} collision states)")

@@ -116,19 +116,15 @@ def reduced_map(sigma: Number, params: MirrorParams) -> Number:
     return params.mu / _check_pole(sigma, 2 * params.E_total)
 
 
-def _inverse(sigma: Number, two_e: Number, mu: Number) -> Number:
-    if sigma == 0:
-        raise PoleError("inverse map undefined at sigma = 0")
-    return two_e - mu / sigma
-
-
 def inverse_map(sigma: Number, params: MirrorParams) -> Number:
     """Algebraic inverse 2*E_total - mu/sigma (one collision backward).
 
     Only sigma exactly zero is a pole; a tiny nonzero sigma has a huge but
     perfectly well-defined preimage (the previous collision was far away).
     """
-    return _inverse(sigma, 2 * params.E_total, params.mu)
+    if sigma == 0:
+        raise PoleError("inverse map undefined at sigma = 0")
+    return 2 * params.E_total - params.mu / sigma
 
 
 @dataclass(frozen=True)
@@ -208,6 +204,18 @@ def motion_constant(x1: Number, E2: Number, sigma1: Number) -> Number:
     return x1 * E2 / sigma1
 
 
+def finite_k(k: Number, n: int) -> Number:
+    """The motion constant k written with the state of collision n; a
+    float k past the float range is a SimulationError. ``mirror`` and
+    ``simulate`` in mirror mode write k in every row, and apply this after
+    their run, whose own errors come first."""
+    if not -_INF < k < _INF:
+        raise SimulationError(
+            f"float overflow: k = {k!r} (at collision index {n})"
+        )
+    return k
+
+
 def e2_from_sigma(sigma1: Number, params: MirrorParams) -> Number:
     """Inner-particle energy implied by the energy split:
     2*E2 = 2*E_total - sigma1 - mu/sigma1."""
@@ -230,8 +238,9 @@ def mirror_initial(
     sitting exactly on a fixed point is rejected: there the inner
     particles carry zero energy, which is not a legal particle, and a
     float E2 past the float range is a SimulationError. A float k past the
-    float range is recorded as it is: ``mirror`` refuses it after the
-    orbit, whose own errors come first.
+    float range is recorded as it is: ``finite_k`` refuses it where
+    ``mirror`` and ``simulate`` write it, after the run, whose own errors
+    come first.
     """
     params = MirrorParams(mu, E_total)
     if sigma1_0 == 0:
@@ -291,22 +300,29 @@ def _previous_state(
 ) -> MirrorState:
     """The state at collision n - 1, by the inverse of each update; a
     PoleError where the backward orbit reaches sigma = 0, so that the
-    state handed back always has sigma1 != 0. A zero sigma_prev is the
-    ZeroDivisionError of the E2 update; t only falls, so an x1 or a t past
-    the float range shows as a t that is not above -inf, and x1 and E2 are
-    tested as in ``_next_state``."""
+    state handed back always has sigma1 != 0. The E2 update multiplies by
+    2*E_total - sigma_prev, which is rho = mu/sigma1 and is taken as that:
+    the difference cancels to zero where sigma_prev rounds to 2*E_total. A
+    zero sigma_prev is the ZeroDivisionError of the E2 update; t only
+    falls, so an x1 or a t past the float range shows as a t that is not
+    above -inf, and x1 and E2 are tested as in ``_next_state``, with a
+    float E2 that underflows to zero besides."""
     n = state.n
-    sigma_prev = _inverse(state.sigma1, two_e, mu)
+    rho = mu / state.sigma1
+    sigma_prev = two_e - rho
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
     try:
-        e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+        e2_prev = state.E2 * rho / sigma_prev
     except ZeroDivisionError:
         raise PoleError(
             f"backward orbit reached sigma = 0 at collision index {n - 1}"
         ) from None
     tau = -x1_prev - state.x1
     t_prev = state.t - tau
-    if not (t_prev > -_INF and x1_prev < 0 and -_INF < e2_prev < _INF):
+    if not (
+        t_prev > -_INF and x1_prev < 0 and -_INF < e2_prev < _INF
+        and e2_prev != 0
+    ):
         raise _past_float_range(x1_prev, e2_prev, t_prev, n - 1)
     return MirrorState._unchecked(n - 1, sigma_prev, e2_prev, x1_prev, t_prev)
 
@@ -320,6 +336,8 @@ def _past_float_range(
         what = f"overflow: x1 = {x1!r}, t = {t!r}"
     elif not -_INF < E2 < _INF:
         what = f"overflow: E2 = {E2!r}, x1 = {x1!r}"
+    elif E2 == 0:
+        what = f"underflow: E2 = {E2!r}, x1 = {x1!r}"
     else:
         what = f"underflow: x1 = {x1!r}"
     return SimulationError(f"float {what} (at collision index {n})")
@@ -340,7 +358,8 @@ def reduced_trajectory(
     the forward orbit reaches the map's pole or sigma1 = 0, or the
     backward one reaches sigma = 0; and SimulationError, with the
     collision index, where a float sigma1 squares to zero, a float x1, E2
-    or t leaves the float range, or x1 underflows to zero.
+    or t leaves the float range, x1 underflows to zero, or, going back, E2
+    underflows to zero.
     """
     if n_forward < 0 or n_backward < 0:
         raise ValidationError(
@@ -715,7 +734,8 @@ def mirror_columns(
     ``billiard_from_mirror(params, start)``. Until the first collision of
     the leftmost pair, sigma1 and E2 are that billiard's own; then all
     four follow the last such collision the log has passed, with k
-    recomputed from it so that its rounding drift shows."""
+    recomputed from it so that its rounding drift shows. Each k passes
+    ``finite_k``."""
     p0, p1 = billiard_from_mirror(params, start).particles[:2]
     first = replace(start, sigma1=p0.E + p0.P, E2=p1.E)
     rows = []
@@ -723,6 +743,7 @@ def mirror_columns(
         k = params.k
         if state is not first:
             k = motion_constant(state.x1, state.E2, state.sigma1)
+        k = finite_k(k, state.n)
         rows.append(dict(sigma1=state.sigma1, E2=state.E2, x1=state.x1, k=k))
     return rows
 

@@ -475,6 +475,11 @@ class TestSimulateCommand:
             tuple(Fraction(r[key]) for key in ("t", "sigma1", "E2", "x1"))
             for r in leftmost
         ] == [(s.t, s.sigma1, s.E2, s.x1) for s in orbit[::-1]]
+        # pre is the earlier pair of states in time, so every pair closes
+        log = tmp_path / "events.csv"
+        events, _ = events_from_csv(log.read_text())
+        assert all(e.pre[0].velocity > e.pre[1].velocity for e in events)
+        assert main(["render", "--log", str(log), "--out", str(tmp_path)]) == 0
 
     def test_mirror_columns_cycle(self, tmp_path):
         cfg = write(tmp_path, "s.ini", MIRROR_CYCLE)
@@ -746,6 +751,10 @@ class TestMirrorCommand:
             # k = x1 * E2 / sigma1 overflows; mirror writes it in every row
             ("1", "1e300", "1e-10", ["mirror"],
              "float overflow: k = -inf (at collision index 0)"),
+            # k overflows; simulate writes it in its one row, a swap of the
+            # inner pair
+            ("1e-10", "1", "1e-160", ["simulate"],
+             "float overflow: k = inf (at collision index 0)"),
         ],
     )
     def test_float_overflow_is_a_named_error(
@@ -947,6 +956,17 @@ class TestTachyonScanCommand:
         )
         assert rows[0]["classification"] == "none"
         assert rows[0]["count"] == "0"
+
+    def test_census_agrees_with_the_classification(self, capsys):
+        """On a 5 x 2 x 5 grid of both energy signs, every census agrees
+        with the classification."""
+        assert main([
+            "tachyon-scan", "--mu", "0.25,0.5,1,2,4", "--e-total=-1,1",
+            "--sigma1=-3,-0.7,0.3,1.3,3", "--steps", "1000",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 50 + 1
+        assert lines[-1] == "0 disagreement(s)"
 
     def test_empty_grid_rejected(self):
         assert main([

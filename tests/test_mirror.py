@@ -197,6 +197,22 @@ class TestReducedTrajectory:
         assert fwd[-1].t == pytest.approx(s0.t)
         assert fwd[-1].x1 == pytest.approx(s0.x1)
 
+    def test_backward_step_onto_the_pole_keeps_e2(self):
+        """One step back from sigma1 = 1e200, sigma = 2 - 1e-200 rounds to
+        2*E_total = 2. E2 there is -5e199 * (mu/sigma1) / 2 = -0.25; as
+        -5e199 * (2 - sigma) / 2 it would cancel to -0.0. The float orbit
+        follows the exact one."""
+        start = (1, 1, 1e200, -1)
+        floats = rb.reduced_trajectory(*rb.mirror_initial(*start), 0, 3)
+        exact = rb.reduced_trajectory(
+            *rb.mirror_initial(*map(Fraction, start)), 0, 3
+        )
+        assert floats[2].E2 == -0.25
+        for got, want in zip(floats, exact):
+            for key in ("sigma1", "E2", "x1", "t"):
+                error = relative_error(getattr(got, key), getattr(want, key))
+                assert error <= 1e-15, (got, key)
+
     def test_energy_split_holds_along_orbit(self):
         params, s0 = rb.mirror_initial(2.0, 1.0, -1.0, -1.0)
         for state in rb.reduced_trajectory(params, s0, 200, 200):
@@ -797,6 +813,11 @@ class TestRefusals:
             # one step back, sigma = 2.2e-16: x1 is subnormal, not zero
             ((1e300, 1.0, 5.000000000000001e299, -1e20), 0, 1,
              "float overflow: E2 = -inf, x1 = -4.93038065763e-312 "
+             "(at collision index -1)"),
+            # one step back, E2 = 2.2e-16 * (mu/sigma1) / 2 = 5.5e-327
+            # underflows to zero while x1 = -4e10 is in range
+            ((1e-310, 1.0, 2 - 2**-51, -1e-300), 0, 3,
+             "float underflow: E2 = 0.0, x1 = -40000000000.00012 "
              "(at collision index -1)"),
         ],
     )

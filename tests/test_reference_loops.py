@@ -4,7 +4,7 @@ The reference below is the census and the state chain written with one
 helper call per operation: the pole test through ``near_zero``, the
 inverse through its own zero test, the tachyonic predicate as a function,
 and a float-range test of every sigma of the census and every x1, E2 and
-t of the chain, with x1 = 0 as an underflow.
+t of the chain, with x1 = 0 as an underflow, and E2 = 0 going back.
 ``tachyonic_census`` and ``reduced_trajectory`` write the same arithmetic
 out in their loops, so on every input they must give the same values, bit
 for bit, and raise the same kind of error.
@@ -52,7 +52,7 @@ def _finite_sigma(sigma, n):
         )
 
 
-def _finite_state(x1, E2, t, n):
+def _finite_state(x1, E2, t, n, backward=False):
     if not (_finite(x1) and _finite(t)):
         raise SimulationError(
             f"float overflow: x1 = {x1!r}, t = {t!r} (at collision index {n})"
@@ -60,6 +60,11 @@ def _finite_state(x1, E2, t, n):
     if not _finite(E2):
         raise SimulationError(
             f"float overflow: E2 = {E2!r}, x1 = {x1!r} "
+            f"(at collision index {n})"
+        )
+    if backward and E2 == 0:
+        raise SimulationError(
+            f"float underflow: E2 = {E2!r}, x1 = {x1!r} "
             f"(at collision index {n})"
         )
     if not x1 < 0:
@@ -118,9 +123,10 @@ def _previous_state(state, two_e, mu):
             f"{state.n - 1}"
         )
     x1_prev = state.x1 * sigma_prev * sigma_prev / mu
-    e2_prev = state.E2 * (two_e - sigma_prev) / sigma_prev
+    # two_e - sigma_prev is mu / sigma1, taken without the cancellation
+    e2_prev = state.E2 * (mu / state.sigma1) / sigma_prev
     tau = -x1_prev - state.x1
-    _finite_state(x1_prev, e2_prev, state.t - tau, state.n - 1)
+    _finite_state(x1_prev, e2_prev, state.t - tau, state.n - 1, True)
     return rb.MirrorState(
         state.n - 1, sigma_prev, e2_prev, x1_prev, state.t - tau
     )
@@ -292,3 +298,12 @@ def test_float_range_same_as_reference(mu, e_total, sigma1_0):
     error, although the loops test fewer values than the reference."""
     _same_census(mu, e_total, sigma1_0)
     _same_trajectory(mu, e_total, sigma1_0)
+
+
+def test_backward_e2_underflow_same_as_reference():
+    """One step back, E2 underflows to zero while x1 = -4e10 is in range:
+    the loop's error is the reference's."""
+    params, s0 = rb.mirror_initial(1e-310, 1.0, 2 - 2**-51, -1e-300)
+    got = _outcome(rb.reduced_trajectory, params, s0, 0, 3)
+    assert got == _outcome(reference_trajectory, params, s0, 0, 3)
+    assert got[0] is SimulationError and "E2 = 0.0" in got[1]
