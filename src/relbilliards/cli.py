@@ -25,7 +25,7 @@ from .errors import (
     SimulationError,
     TripleCollisionError,
 )
-from .numeric import format_number, parse_number, repr_number
+from .numeric import ARITHMETICS, format_number, parse_number, repr_number
 from .render import render_spacetime
 from .scale import GRAVITY_M_PER_KG, estimate_tachyonic_scale
 from .serialize import (
@@ -79,7 +79,7 @@ def _run_simulate(args) -> int:
     )
     rows = None
     if config.mode == "mirror":
-        rows = mr.mirror_columns(*config.mirror, events)
+        rows = mr.mirror_columns(events, config.mirror[1])
     text = events_to_csv(events, config.arithmetic, rows)
     out = os.path.join(args.out, "events.csv")
     write_atomic(out, text)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     # options of the subcommands that read a scenario config
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--config", required=True)
-    scenario.add_argument("--arithmetic", choices=("float", "rational"))
+    scenario.add_argument("--arithmetic", choices=ARITHMETICS)
     scenario.add_argument("--events", type=_count)
 
     sim = sub.add_parser(

@@ -23,15 +23,15 @@ k = x1 * E2 / sigma1 is invariant under the collision map and sets the
 time scale of periodic orbits.
 
 Checks against the full simulation: ``cross_check`` compares it with the
-reduced map, ``mirror_columns`` reads the reduced coordinates off its
-event log, and ``tachyonic_census`` counts tachyonic collisions along an
-orbit for ``census_agrees`` to set against ``classify_tachyonic``.
+reduced map, ``mirror_columns`` reads its event log as the reduced orbit
+from the start state, and ``tachyonic_census`` counts tachyonic collisions
+along an orbit for ``census_agrees`` to set against ``classify_tachyonic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -693,12 +693,13 @@ def _reduced_walk(
 
     Each collision of the leftmost pair (0, 1) gives the state of that
     collision: particle 0's sigma and particle 1's energy just after it in
-    time (``post``), and the event's position and time. A forward log
-    passes collisions start.n + 1, start.n + 2, ...; a backward log undoes
-    start.n at the start time, then start.n - 1, ... The direction, which
-    only numbers the collisions, is read once, from the first such event's
-    time, so a float step that rounds to zero cannot flip it. Other events
-    keep the state, ``start`` at first.
+    time (``post``), and the event's position and time; a float sigma
+    whose E + P cancels, as E and P have opposite signs, is mu / (E - P).
+    A forward log passes collisions start.n + 1, start.n + 2, ...; a
+    backward log undoes start.n at the start time, then start.n - 1, ...
+    The direction, which only numbers the collisions, is read once, from
+    the first such event's time, so a float step that rounds to zero
+    cannot flip it. Other events keep the state, ``start`` at first.
     """
     first = next((e for e in events if e.pair == (0, 1)), None)
     backward = first is not None and first.t == start.t
@@ -707,9 +708,10 @@ def _reduced_walk(
     for event in events:
         if event.pair == (0, 1):
             p0, p1 = event.post
-            state = MirrorState._unchecked(
-                n, p0.E + p0.P, p1.E, event.x, event.t
-            )
+            E, P = p0.E, p0.P
+            cancels = type(E) is float and (E < 0 < P or P < 0 < E)
+            sigma = p0.mu / (E - P) if cancels else E + P
+            state = MirrorState._unchecked(n, sigma, p1.E, event.x, event.t)
             n += step
         yield state
 
@@ -725,26 +727,19 @@ def reduced_states_from_events(
 
 
 def mirror_columns(
-    params: MirrorParams,
-    start: MirrorState,
-    events: list[CollisionEvent],
+    events: list[CollisionEvent], start: MirrorState
 ) -> list[dict[str, Number]]:
     """The mirror-mode columns of events.csv: sigma1, E2, x1 and k in force
     after each event of the log simulated from
     ``billiard_from_mirror(params, start)``. Until the first collision of
-    the leftmost pair, sigma1 and E2 are that billiard's own; then all
-    four follow the last such collision the log has passed, with k
-    recomputed from it so that its rounding drift shows. Each k passes
-    ``finite_k``."""
-    p0, p1 = billiard_from_mirror(params, start).particles[:2]
-    first = replace(start, sigma1=p0.E + p0.P, E2=p1.E)
+    the leftmost pair they are ``start``'s own, as in row 0 of
+    ``reduced_trajectory``; then they follow the last such collision the
+    log has passed. Every row's k is ``motion_constant`` of its own
+    columns, so that rounding drift shows, and passes ``finite_k``."""
     rows = []
-    for state in _reduced_walk(events, first):
-        k = params.k
-        if state is not first:
-            k = motion_constant(state.x1, state.E2, state.sigma1)
-        k = finite_k(k, state.n)
-        rows.append(dict(sigma1=state.sigma1, E2=state.E2, x1=state.x1, k=k))
+    for s in _reduced_walk(events, start):
+        k = finite_k(motion_constant(s.x1, s.E2, s.sigma1), s.n)
+        rows.append(dict(sigma1=s.sigma1, E2=s.E2, x1=s.x1, k=k))
     return rows
 
 

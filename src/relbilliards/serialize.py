@@ -168,6 +168,7 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         def flag(key):
             return _parse_bool(rec[key], f"{where}, {key}")
 
+        t = num("t")
         i = int(rec["i"]) if rec["i"].isdecimal() else -1
         j = i + 1
         if i < 0 or rec["j"] != str(j):
@@ -194,7 +195,7 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         )
         events.append(
             CollisionEvent._unchecked(
-                num("t"),
+                t,
                 (i, j),
                 x,
                 pre,

@@ -496,6 +496,39 @@ class TestSimulateCommand:
         ks = {r["k"] for r in rows}
         assert ks == {"1.5"}
 
+    @pytest.mark.parametrize(
+        "sigma1, events", [("1e-10", "3"), ("-9999999998", "6")]
+    )
+    def test_mirror_columns_read_sigma1_without_cancellation(
+        self, tmp_path, sigma1, events
+    ):
+        """Where particle 1's E and P cancel (E1 = 5e9, P1 = -5e9 at
+        sigma1 = 1e-10), the first row is the start state, as in row 0 of
+        mirror.csv, and each collision's sigma1 is the map's."""
+        text = (
+            MIRROR_CYCLE.replace("events = 30", f"events = {events}")
+            .replace("mu = 4", "mu = 1")
+            .replace("sigma1 = 1", f"sigma1 = {sigma1}")
+        )
+        cfg = write(tmp_path, "c.ini", text)
+        out = str(tmp_path)
+        rows, states = [], []
+        for command, name, read in (
+            ("simulate", "events.csv", rows), ("mirror", "mirror.csv", states)
+        ):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            lines = (tmp_path / name).read_text().splitlines()
+            read.extend(csv.DictReader(lines[1:]))
+        keys = ("sigma1", "E2", "x1", "k")
+        assert [rows[0][k] for k in keys] == [states[0][k] for k in keys]
+        leftmost = [r for r in rows if (r["i"], r["j"]) == ("0", "1")]
+        params, s0 = parse_config(text).mirror
+        orbit = rb.reduced_trajectory(params, s0, len(leftmost))[1:]
+        for row, state in zip(leftmost, orbit):
+            sigma = float(row["sigma1"])
+            assert rb.numeric.rel_diff(sigma, state.sigma1) <= 1e-15
+        assert "1e-10" in [r["sigma1"] for r in rows]
+
     def test_validation_exit_code(self, tmp_path):
         cfg = write(
             tmp_path, "bad.ini", "[scenario]\nmode = general\nevents = 1\n"
@@ -1231,6 +1264,11 @@ class TestInputAtTheEdge:
             ),
             (
                 lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, t="nan", x="inf")],
+                "line 3, t: expected a finite number, got 'nan'",
+            ),
+            (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
                              _damaged_log(tmp, i="x")],
                 "line 3: expected adjacent indices i, i + 1, got ('x', '2')",
             ),
@@ -1286,7 +1324,8 @@ class TestInputAtTheEdge:
             ),
         ],
         ids=[
-            "ini-nan", "csv-t-nan", "csv-x-inf", "csv-i-not-int",
+            "ini-nan", "csv-t-nan", "csv-x-inf", "csv-t-before-x",
+            "csv-i-not-int",
             "csv-pair-not-adjacent", "csv-pair-negative", "grid-nan",
             "grid-word", "grid-sigma1-zero", "cross-check-tol-nan",
             "period-mu-nan", "period-x1-overflow", "estimate-mass-inf",

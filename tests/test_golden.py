@@ -94,13 +94,13 @@ GOLDEN = {
     "simulate-near-three-cycle:stdout":
         "18b0a9ff92509dc0617326fbb8009e66df88f7b394e05373ef8f381d2e7b9eb6",
     "sim/events.csv":
-        "942ff6256f430a0c9fff71966cd00a4f6007ef25bb8ddb9c42545494488962a9",
+        "0473976eead394a2b3428f4e46e93cb7df6a72b52f2eb4659aebcfff937e7105",
     "sim/spacetime.svg":
         "958a4df8bd714d969a2f8e2d1dced6cb5d2baa572cea01546c889f48ea904932",
     "simulate-near-repeller:stdout":
         "0317b7efbc6acbaca92a1cff844076487762e7d82f002a3761f85b6183c8c2be",
     "rep/events.csv":
-        "842fbf4e879a7bfcf306eaf339b2a8f3901afad02538434c4589b46ff14dc046",
+        "5c4776f01bd9ca25b2c02ffcf3dc69d6b4432ad35fcc4424fdcf7cdd8871528f",
     "rep/spacetime.svg":
         "9592bd8dce0a7e7458dd96a6ee9ff92b15ce9e37c86d407a5dec7ba8c77cc9ba",
     "simulate-rational-backward:stdout":
@@ -114,9 +114,9 @@ GOLDEN = {
     "render/spacetime.svg":
         "958a4df8bd714d969a2f8e2d1dced6cb5d2baa572cea01546c889f48ea904932",
     "cross-check-pass:stdout":
-        "06be80bbfc65cd429217801e5b8cd5afa7e39f09ebe7be832a9a00bbbcd956af",
+        "57a793595bdf060c646434199dd6195d7f99464e7e5395a586914c4e9c3500ae",
     "check/report.txt":
-        "e69cbc187359b53402443c37ba72a9c6a2f893beb51b4840d8c1df729b0f1773",
+        "99c5af75292b0a514562b45a0093ea37bf6a469cdea50594440d9aa4e2be4c5c",
     "cross-check-near-repeller:stdout":
         "6ae57ab50b38093eed6290d09b3c427cd212ad5d48646e7e7bb8b84bafca63a4",
     "mirror:stdout":

@@ -723,7 +723,7 @@ class TestLogWalk:
         ):
             start = rb.billiard_from_mirror(params, s0)
             _, log = rb.simulate(start, direction, max_events=9)
-            rows = mirror.mirror_columns(params, s0, log)
+            rows = mirror.mirror_columns(log, s0)
             assert len(rows) == len(log)
             assert {row["k"] for row in rows} == {1.5}
             passed = [
@@ -731,6 +731,20 @@ class TestLogWalk:
                 if event.pair == (0, 1)
             ]
             assert passed == sigmas
+        # near the repeller: the start state itself until particle 1
+        # collides, and each k from its own row
+        params, s0 = rb.mirror_initial(0.75, 1.0, 1.5000000000000002, -1.0)
+        start = rb.billiard_from_mirror(params, s0)
+        _, log = rb.simulate(start, "forward", max_events=20)
+        rows = mirror.mirror_columns(log, s0)
+        row = rows[0]
+        assert (row["sigma1"], row["E2"], row["x1"], row["k"]) == (
+            s0.sigma1, s0.E2, s0.x1, params.k
+        )
+        for row in rows:
+            assert row["k"] == rb.motion_constant(
+                row["x1"], row["E2"], row["sigma1"]
+            )
 
 
 class TestRefusals:

@@ -272,7 +272,12 @@ def _stepped(state, direction, max_events, t_limit):
     sign = 1 if direction == "forward" else -1
     events = []
     while len(events) < max_events:
-        found = rb.next_collisions(state, direction)
+        try:
+            found = rb.next_collisions(state, direction)
+        except rb.SimulationError:
+            # an event time past the float range lies past any t_limit;
+            # without one, ``step`` raises the error with the run's index
+            found = [(None, sign * math.inf)]
         if found and t_limit is not None:
             if sign * found[0][1] >= sign * t_limit:  # at or past the limit
                 found = []
