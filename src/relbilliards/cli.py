@@ -3,7 +3,8 @@
 Subcommands: simulate, mirror, cross-check, period, tachyon-scan,
 estimate, render. Exit codes: 0 success, 1 validation error, 2 simulation
 degeneracy (triple collision, zero-rest-mass pair, map pole), 3
-cross-check tolerance failure.
+cross-check tolerance failure; an error exits with its class's
+``exit_code``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from typing import Optional
 
 from . import mirror as mr
 from .config import ScenarioConfig, initial_state, parse_config
-from .errors import (
-    BilliardError,
-    ConfigError,
-    DegenerateCollisionError,
-    PoleError,
-    SimulationError,
-    TripleCollisionError,
-)
+from .errors import BilliardError, ConfigError, PoleError, SimulationError
 from .numeric import ARITHMETICS, format_number, parse_number, repr_number
 from .render import render_spacetime
 from .scale import GRAVITY_M_PER_KG, estimate_tachyonic_scale
@@ -39,15 +33,7 @@ from .simulator import simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_DEGENERATE = 2
 EXIT_CROSS_CHECK = 3
-
-_DEGENERATE = (
-    DegenerateCollisionError,
-    TripleCollisionError,
-    PoleError,
-    SimulationError,
-)
 
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -337,12 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _DEGENERATE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (BilliardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return getattr(exc, "exit_code", EXIT_VALIDATION)
 
 
 def entrypoint() -> None:

@@ -1,13 +1,17 @@
 """Exception hierarchy.
 
-Degeneracy errors (pole / zero rest mass / triple collision) are the
-probability-zero configurations the dynamics cannot resolve; they get their
-own classes so the command-line harness can map them to a distinct exit code.
+Each class carries in ``exit_code`` the exit code that the command-line
+harness returns for it: 2 for the degeneracies (pole / zero rest mass /
+triple collision, the probability-zero configurations the dynamics cannot
+resolve, and a state the scheduler cannot continue from), 1 for every
+other error.
 """
 
 
 class BilliardError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ZeroEnergyError(BilliardError):
@@ -25,9 +29,13 @@ class NoCollisionError(BilliardError):
 class DegenerateCollisionError(BilliardError):
     """The pair system has zero rest mass (s*r = 0); the outcome is singular."""
 
+    exit_code = 2
+
 
 class TripleCollisionError(BilliardError):
     """More than two particles meet at the same time and place."""
+
+    exit_code = 2
 
 
 class NoEventError(BilliardError):
@@ -37,9 +45,13 @@ class NoEventError(BilliardError):
 class SimulationError(BilliardError):
     """The evolution produced a state the scheduler cannot continue from."""
 
+    exit_code = 2
+
 
 class PoleError(BilliardError):
     """The reduced map was evaluated at (or too close to) its pole."""
+
+    exit_code = 2
 
 
 class DiscriminantError(BilliardError):

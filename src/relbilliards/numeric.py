@@ -109,11 +109,12 @@ def _fraction(text: str) -> Fraction:
 
 
 def format_number(value: Number) -> str:
-    """``value`` as written to files: ``repr`` of its float, which reads
-    back bit for bit, or ``p/q`` (``p``) for a Fraction of any length."""
+    """``value`` as written to files: ``repr`` of a float, which reads
+    back bit for bit, or ``p/q`` (``p``) for a Fraction or an int of any
+    length."""
     if type(value) is float:
         return repr(value)
-    if isinstance(value, Fraction):
+    if is_exact(value):
         num, den = value.as_integer_ratio()
         text = _decimal(num)
         return text if den == 1 else f"{text}/{_decimal(den)}"

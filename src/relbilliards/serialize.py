@@ -141,7 +141,8 @@ def _records(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
 def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
     """Parse CSV text back into an event log. Returns (events, arithmetic)."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {EVENTS_SCHEMA}"):
+    # the tag, then a space or the end of the line: not a later version's
+    if not lines or not f"{lines[0]} ".startswith(f"# {EVENTS_SCHEMA} "):
         raise ConfigError(f"not a {EVENTS_SCHEMA} file")
     arithmetic = "float"
     if "arithmetic=" in lines[0]:

@@ -220,6 +220,13 @@ class _PairQueue:
     its gap is positive; if it does not close, monotone rounding keeps it
     in order. Pairs already inverted within contact slack that do not
     close are rechecked at every selection, as the scan does.
+
+    The same invariant makes the heap's order errors the scan's. The
+    touched and inverted pairs are read first, in ascending order; a pair
+    in the heap, popped or not, closes with a key past the event after
+    which it was pushed, so its gap is positive, and a pair that does not
+    close stays in order. The first pair that ``_flights`` finds out of
+    order is therefore the scan's first.
     """
 
     def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
@@ -248,15 +255,6 @@ class _PairQueue:
         self, xs: list, vs: list, t: Number, resolved: list
     ) -> list[tuple[Pair, Number]]:
         """The selection after the collisions ``resolved`` at time ``t``."""
-        try:
-            return self._after(xs, vs, t, resolved)
-        except ValueError:
-            _earliest(xs, vs, t)  # an order violation: raise the scan's
-            raise
-
-    def _after(
-        self, xs: list, vs: list, t: Number, resolved: list
-    ) -> list[tuple[Pair, Number]]:
         live, heap, inverted = self.live, self.heap, self.inverted
         last = len(live) - 1
         touched = []  # ascending, as the resolved pairs are

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import relbilliards as rb
+from relbilliards import cli, serialize
 from relbilliards.cli import build_parser, main
 from relbilliards.config import initial_state, parse_config
 from relbilliards.render import render_spacetime, worldlines
@@ -441,7 +442,9 @@ class TestSimulateCommand:
 
     def test_text_without_the_schema_tag_rejected(self):
         text = events_to_csv([]).split("\n", 1)[1]
-        for bad in (text, "", "# relbilliards-mirror-v1\n" + text):
+        for bad in (text, "", "# relbilliards-mirror-v1\n" + text,
+                    "# relbilliards-events-v10 arithmetic=float\n" + text,
+                    "# relbilliards-events-v1x\n" + text):
             with pytest.raises(
                 rb.ConfigError, match="^not a relbilliards-events-v1 file$"
             ):
@@ -861,6 +864,22 @@ x1 = -1
         cfg = write(tmp_path, "m.ini", MIRROR_CYCLE)
         assert main(["cross-check", "--config", cfg, "--events", "0"]) == 0
 
+    def test_short_simulation_refused(self, tmp_path, capsys):
+        """A simulation that stops before the asked collisions is a
+        SimulationError raised after the event loop: exit 2. The outer
+        particle's E - P = 1e-10 is below the float spacing near E = 5e9,
+        so the pair moves at one velocity and never meets again."""
+        text = (
+            MIRROR_CYCLE.replace("events = 30", "events = 6")
+            .replace("mu = 4", "mu = 1")
+            .replace("sigma1 = 1", "sigma1 = -9999999998")
+        )
+        cfg = write(tmp_path, "s.ini", text)
+        assert main(["cross-check", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: simulation produced 1 collisions, expected 6\n"
+
 
 class TestPeriodCommand:
     def test_three_cycle_output(self, capsys):
@@ -1063,6 +1082,49 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == (
             "error: gravitational constant must be positive\n"
         )
+
+
+_DEGENERACIES = {
+    "DegenerateCollisionError", "TripleCollisionError", "PoleError",
+    "SimulationError",
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in rb.__all__ if n.endswith("Error"))
+    )
+    def test_each_error_class_carries_its_exit_code(
+        self, monkeypatch, capsys, name
+    ):
+        """2 for the four degeneracies, 1 for every other error class."""
+        cls = getattr(rb, name)
+
+        def raising(*_):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "estimate_tachyonic_scale", raising)
+        expected = 2 if name in _DEGENERACIES else 1
+        assert cls.exit_code == expected
+        assert main(["estimate", "--mass", "1"]) == expected
+        assert capsys.readouterr() == ("", "error: boom\n")
+
+
+class TestWriteAtomic:
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A write that fails before the rename re-raises, leaves the old
+        file as it was and removes its temp file."""
+        path = tmp_path / "events.csv"
+        path.write_text("old\n")
+
+        def failing(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(serialize.os, "replace", failing)
+        with pytest.raises(OSError, match="^replace failed$"):
+            serialize.write_atomic(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv"]
 
 
 class TestRenderCommand:

@@ -95,6 +95,18 @@ class TestRoundTrip:
         back = parse_number(text, "rational", "v")
         assert back == Fraction(n, 10**places)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(), huge_ints))
+    @example(2**60 + 1)
+    @example(-(10**400))
+    def test_int(self, n):
+        """An int is written as the Fraction ``n/1`` is, not through float:
+        every digit, past the float range and the digit limit too."""
+        text = format_number(n)
+        assert text == format_number(Fraction(n))
+        back = parse_number(text, "rational", "v")
+        assert type(back) is Fraction and back == n
+
     def test_other_fraction_spellings(self):
         assert parse_number(" +3/6 ", "rational", "v") == Fraction(1, 2)
         assert parse_number("1.5e3", "rational", "v") == 1500
