@@ -98,7 +98,8 @@ def parse_config(text: str, arithmetic: Optional[str] = None) -> ScenarioConfig:
     flag); it must be given before parsing since it decides how every
     number in the file is read.
     """
-    parser = configparser.ConfigParser()
+    # No interpolation: a % in a value is plain text.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -10,12 +10,14 @@ in the run's order). Every number goes through the codec of ``numeric``:
 bit-for-bit, and a rational as a ``p/q`` string of any length;
 ``parse_number`` reads each field back, a ConfigError naming its line and
 column if it is not a finite number; particle data that breaks
-``mu = E**2 - P**2`` or has zero energy is one naming its line. The file
-holds no labels: each state reads back with its particle index as its
-label. Parsing a file back therefore reconstructs the event list exactly
-when every label is its particle's index, as ``parse_config`` and
-``billiard_from_mirror`` make them. ``format_bool`` writes the flags,
-also for the ``tachyon-scan`` rows of ``cli``.
+``mu = E**2 - P**2`` or has zero energy is one naming its line. A
+file's repeated numbers and states are parsed and checked once: each
+distinct field text, and each distinct ``(E, P, mu)`` text triple. The
+file holds no labels: each state reads back with its particle index as
+its label. Parsing a file back therefore reconstructs the event list
+exactly when every label is its particle's index, as ``parse_config``
+and ``billiard_from_mirror`` make them. ``format_bool`` writes the
+flags, also for the ``tachyon-scan`` rows of ``cli``.
 
 Files are written atomically (temp file + rename) so a crashed run never
 leaves a half-written artifact.
@@ -155,6 +157,11 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         raise ConfigError("unexpected column layout")
 
     events = []
+    # A text parses once per file and an (E, P, mu) text triple is checked
+    # once: the first occurrence of a bad one raises, so a memo holds only
+    # values and triples that passed.
+    numbers: dict[str, Number] = {}
+    checked: set[tuple[str, str, str]] = set()
     for line_no, row in records:
         where = f"line {line_no}"
         if len(row) != len(_EVENT_FIELDS):
@@ -164,7 +171,13 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
         rec = dict(zip(_EVENT_FIELDS, row))
 
         def num(key):
-            return parse_number(rec[key], arithmetic, f"{where}, {key}")
+            text = rec[key]
+            value = numbers.get(text)
+            if value is None:
+                value = numbers[text] = parse_number(
+                    text, arithmetic, f"{where}, {key}"
+                )
+            return value
 
         def flag(key):
             return _parse_bool(rec[key], f"{where}, {key}")
@@ -179,20 +192,26 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
             )
         x = num("x")
 
-        def state(E, P, mu, label):
+        def state(E_key, P_key, mu_key, label):
+            args = num(E_key), num(P_key), num(mu_key), x, label
+            triple = rec[E_key], rec[P_key], rec[mu_key]
+            if triple in checked:
+                return ParticleState._unchecked(*args)
             try:
-                return ParticleState._evolved(E, P, mu, x, label)
+                particle = ParticleState._evolved(*args)
             except (ValidationError, ZeroEnergyError) as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            checked.add(triple)
+            return particle
 
         # Fields parse in column order; each mu once, for both states.
         pre = (
-            state(num("E_i_pre"), num("P_i_pre"), num("mu_i"), i),
-            state(num("E_j_pre"), num("P_j_pre"), num("mu_j"), j),
+            state("E_i_pre", "P_i_pre", "mu_i", i),
+            state("E_j_pre", "P_j_pre", "mu_j", j),
         )
         post = (
-            state(num("E_i_post"), num("P_i_post"), pre[0].mu, i),
-            state(num("E_j_post"), num("P_j_post"), pre[1].mu, j),
+            state("E_i_post", "P_i_post", "mu_i", i),
+            state("E_j_post", "P_j_post", "mu_j", j),
         )
         events.append(
             CollisionEvent._unchecked(
@@ -231,12 +250,17 @@ def mirror_trajectory_to_csv(
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` atomically."""
+    """Write text to ``path`` atomically, with the mode ``open(path, "w")``
+    would give a new file: 0o666 less the process's umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # mkstemp creates the file 0o600; the umask is read by setting it.
+    umask = os.umask(0o022)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            os.chmod(tmp, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

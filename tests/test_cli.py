@@ -1,11 +1,15 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
 import csv
+import math
 import re
+import stat
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relbilliards as rb
 from relbilliards import cli, serialize
@@ -14,6 +18,7 @@ from relbilliards.config import initial_state, parse_config
 from relbilliards.render import render_spacetime, worldlines
 from relbilliards.serialize import events_from_csv, events_to_csv
 from test_golden_gas import _fraction_gas
+from test_simulator import mixed_gases
 
 ZERO_ENERGY_COLLISION = """
 [scenario]
@@ -1126,6 +1131,18 @@ class TestWriteAtomic:
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv"]
 
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        """The file gets 0o666 less the umask, as ``open(path, "w")``
+        gives it, not mkstemp's 0o600."""
+        opened = tmp_path / "opened.csv"
+        with open(opened, "w") as handle:
+            handle.write("text\n")
+        written = tmp_path / "events.csv"
+        serialize.write_atomic(str(written), "text\n")
+        assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(
+            opened.stat().st_mode
+        )
+
 
 class TestRenderCommand:
     def _events(self, text=MIRROR_CYCLE, events=30):
@@ -1315,6 +1332,20 @@ class TestInputAtTheEdge:
                 "[particle 1].E: expected a finite number, got 'nan'",
             ),
             (
+                lambda tmp: ["simulate", "--out", str(tmp), "--config",
+                             write(tmp, "s.ini",
+                                   _mirror("events = 30",
+                                           "events = 30\noutputs = events%"))],
+                "scenario.outputs: expected from ('events', 'svg'), "
+                "got 'events%'",
+            ),
+            (
+                lambda tmp: ["simulate", "--out", str(tmp), "--config",
+                             write(tmp, "s.ini",
+                                   _mirror("mu = 4", "mu = 4%(x)s"))],
+                "mirror.mu: cannot parse number '4%(x)s'",
+            ),
+            (
                 lambda tmp: ["render", "--out", str(tmp), "--log",
                              _damaged_log(tmp, t="nan")],
                 "line 3, t: expected a finite number, got 'nan'",
@@ -1386,7 +1417,8 @@ class TestInputAtTheEdge:
             ),
         ],
         ids=[
-            "ini-nan", "csv-t-nan", "csv-x-inf", "csv-t-before-x",
+            "ini-nan", "ini-percent", "ini-percent-key", "csv-t-nan",
+            "csv-x-inf", "csv-t-before-x",
             "csv-i-not-int",
             "csv-pair-not-adjacent", "csv-pair-negative", "grid-nan",
             "grid-word", "grid-sigma1-zero", "cross-check-tol-nan",
@@ -1456,3 +1488,129 @@ class TestLogParticleData:
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "spacetime.svg").exists()
+
+
+#: The numeric columns of an event row, and its four (E, P, mu) triples.
+_NUMBER_COLUMNS = (
+    "t", "x", "E_i_pre", "P_i_pre", "mu_i", "E_j_pre", "P_j_pre", "mu_j",
+    "E_i_post", "P_i_post", "E_j_post", "P_j_post",
+)
+_TRIPLES = (
+    ("E_i_pre", "P_i_pre", "mu_i"),
+    ("E_j_pre", "P_j_pre", "mu_j"),
+    ("E_i_post", "P_i_post", "mu_i"),
+    ("E_j_post", "P_j_post", "mu_j"),
+)
+
+
+class TestLogReadOnce:
+    """``events_from_csv`` parses each distinct field text of a file once
+    and checks each distinct (E, P, mu) text triple once, counted as
+    ``TestObjectCost`` counts objects; every check keeps its meaning."""
+
+    def test_each_text_parsed_and_each_state_checked_once(self, monkeypatch):
+        """The rational mu=5/4 mirror log of 1200 events."""
+        params, m0 = rb.mirror_initial(
+            Fraction(5, 4), Fraction(1), Fraction(1, 3), Fraction(-1),
+            t0=Fraction(0),
+        )
+        _, log = rb.simulate(rb.billiard_from_mirror(params, m0),
+                             max_events=1200)
+        text = events_to_csv(log, "rational")
+        rows = list(csv.DictReader(text.splitlines()[1:]))
+        texts = {row[key] for row in rows for key in _NUMBER_COLUMNS}
+        triples = {
+            tuple(row[key] for key in triple)
+            for row in rows for triple in _TRIPLES
+        }
+        assert len(texts) < len(_NUMBER_COLUMNS) * len(rows)
+        assert len(triples) < len(_TRIPLES) * len(rows)
+        parsed, checked = [], []
+        parse = serialize.parse_number
+        validate = rb.ParticleState._validate
+
+        def parsing(text, arithmetic, where):
+            parsed.append(text)
+            return parse(text, arithmetic, where)
+
+        def validating(self, drift_tol):
+            checked.append(self)
+            validate(self, drift_tol)
+
+        monkeypatch.setattr(serialize, "parse_number", parsing)
+        monkeypatch.setattr(rb.ParticleState, "_validate", validating)
+        events, arithmetic = events_from_csv(text)
+        assert (events, arithmetic) == (log, "rational")
+        assert sorted(parsed) == sorted(texts)
+        assert len(checked) == len(triples)
+
+    def _lines(self, arithmetic, damage):
+        """The text of a 3-event log of the mu=4 mirror run, with
+        ``damage`` mapping a line number (3 to 5) to its new fields."""
+        config = parse_config(MIRROR_CYCLE, arithmetic)
+        _, log = rb.simulate(initial_state(config), max_events=3)
+        lines = events_to_csv(log, arithmetic).splitlines()
+        header = lines[1].split(",")
+        for line_no, fields in damage.items():
+            row = lines[line_no - 1].split(",")
+            for key, value in fields.items():
+                row[header.index(key)] = value
+            lines[line_no - 1] = ",".join(row)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "lines, first, label", [((3, 4), 3, 2), ((4, 5), 4, 1)]
+    )
+    def test_bad_state_on_two_lines_names_the_first(self, lines, first, label):
+        bad = {"E_j_pre": "-1.5", "P_j_pre": "1.0", "mu_j": "0.0"}
+        text = self._lines("float", dict.fromkeys(lines, bad))
+        with pytest.raises(rb.ConfigError) as info:
+            events_from_csv(text)
+        assert str(info.value) == (
+            f"line {first}: particle {label}: mu inconsistent with E, P "
+            "(drift 1.250e+00 at scale 3.250e+00)"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("E_j_pre", "-2.0"), ("P_j_pre", "1.0"), ("mu_j", "0.5")],
+    )
+    def test_each_part_of_a_checked_state_counts(self, key, value):
+        """Line 3's j state (-1.5, 1.5, 0.0) passes; line 4's, the same
+        but for one text, is checked again."""
+        text = self._lines("float", {4: {key: value}})
+        with pytest.raises(
+            rb.ConfigError, match="^line 4: particle 1: mu inconsistent"
+        ):
+            events_from_csv(text)
+
+    def test_equal_rationals_spelled_two_ways(self):
+        text = self._lines("rational", {3: {"x": "1/2"}, 4: {"x": "2/4"}})
+        events, _ = events_from_csv(text)
+        assert events[0].x == events[1].x == Fraction(1, 2)
+        assert events[0].pre[0].x == events[1].post[1].x == Fraction(1, 2)
+
+    @pytest.mark.parametrize("first", ["-0.0", "0.0"])
+    def test_signed_zeros_keep_their_signs(self, first):
+        second = "0.0" if first == "-0.0" else "-0.0"
+        text = self._lines("float", {3: {"x": first}, 4: {"x": second}})
+        events, _ = events_from_csv(text)
+        for event, spelled in zip(events, (first, second)):
+            sign = -1.0 if spelled.startswith("-") else 1.0
+            for x in (event.x, *(p.x for p in event.pre + event.post)):
+                assert math.copysign(1.0, x) == sign
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_gases(), st.sampled_from(("forward", "backward")))
+    def test_mixed_gas_logs_round_trip_bit_for_bit(self, start, direction):
+        log, state = [], start
+        try:
+            for _ in range(30):
+                state, batch = rb.step(state, direction)
+                log.extend(batch)
+        except rb.BilliardError:
+            pass
+        text = events_to_csv(log)
+        events, _ = events_from_csv(text)
+        assert events == log
+        assert events_to_csv(events) == text
