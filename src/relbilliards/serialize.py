@@ -9,7 +9,9 @@ in the run's order). Every number goes through the codec of ``numeric``:
 ``format_number`` writes a float with ``repr``, which round-trips
 bit-for-bit, and a rational as a ``p/q`` string of any length;
 ``parse_number`` reads each field back, a ConfigError naming its line and
-column if it is not a finite number; particle data that breaks
+column if it is not a finite number (the reduced columns ``sigma1``,
+``E2``, ``x1`` and ``k`` may be empty, as general runs write them, and are
+checked but not kept); particle data that breaks
 ``mu = E**2 - P**2`` or has zero energy is one naming its line. A
 file's repeated numbers and states are parsed and checked once: each
 distinct field text, and each distinct ``(E, P, mu)`` text triple. The
@@ -49,6 +51,7 @@ _EVENT_FIELDS = [
     "tachyonic", "sign_flip_i", "sign_flip_j",
     "sigma1", "E2", "x1", "k",
 ]
+_REDUCED_FIELDS = _EVENT_FIELDS[-4:]
 
 _MIRROR_FIELDS = ["n", "t", "sigma1", "E2", "x1", "k"]
 
@@ -213,16 +216,13 @@ def events_from_csv(text: str) -> tuple[list[CollisionEvent], str]:
             state("E_i_post", "P_i_post", "mu_i", i),
             state("E_j_post", "P_j_post", "mu_j", j),
         )
+        tachyonic = flag("tachyonic")
+        flips = flag("sign_flip_i"), flag("sign_flip_j")
+        for key in _REDUCED_FIELDS:
+            if rec[key]:
+                num(key)
         events.append(
-            CollisionEvent._unchecked(
-                t,
-                (i, j),
-                x,
-                pre,
-                post,
-                flag("tachyonic"),
-                (flag("sign_flip_i"), flag("sign_flip_j")),
-            )
+            CollisionEvent._unchecked(t, (i, j), x, pre, post, tachyonic, flips)
         )
     return events, arithmetic
 

@@ -1,7 +1,7 @@
 """Event-driven evolution of N particles on a line.
 
 Between collisions every particle moves freely at v = P/E; the scheduler
-finds the earliest adjacent-pair intersection(s), moves every position
+finds the earliest adjacent-pair intersection(s), moves the positions
 there, and resolves each colliding pair elastically. A run keeps positions
 and velocities as plain numbers and builds ``ParticleState`` objects only
 for the colliding pairs and the returned state. Several collisions at
@@ -11,8 +11,10 @@ the same time *and* place are a genuine discontinuity of the dynamics and
 raise TripleCollisionError.
 
 The scheduler only runs forward. A run of many pairs picks each event from
-a binary heap of pair meeting times and refreshes only the pairs next to a
-collision; a run of few pairs scans all of them at every event. Both read
+a binary heap of pair meeting times, refreshes only the pairs next to a
+collision, and moves a particle only when it reads its position, through
+the same float steps that the scan takes; a run of few pairs scans all of
+them at every event and moves every position at every event. Both read
 each pair through one rule (``_flights``) and give the same events, bit
 for bit. A backward run is the forward run of the time-reversed frame: it
 negates the start time, every velocity and ``t_limit`` once, on entry
@@ -115,10 +117,10 @@ def _frame(state: BilliardState, direction: Direction):
     ps = state.particles
     xs = [p.x for p in ps]
     if direction == "forward":
-        return False, state.t, xs, [p.velocity for p in ps]
+        return False, state.t, xs, [p.P / p.E for p in ps]
     if direction != "backward":
         raise ValidationError(f"unknown direction {direction!r}")
-    return True, -state.t, xs, [-p.velocity for p in ps]
+    return True, -state.t, xs, [-(p.P / p.E) for p in ps]
 
 
 def _flights(
@@ -189,12 +191,35 @@ def _earliest(xs: list, vs: list, t: Number) -> list[tuple[Pair, Number]]:
 #: Runs with fewer adjacent pairs scan all of them at every event: below
 #: this count the heap's bookkeeping costs more than the scan it saves. Per
 #: event over 400 events of the seed-7 bradyon gas (Python 3.11, one CPU of
-#: a 2-vCPU Xeon VM), scan against heap: 0.0210 against 0.0214 ms at 44
-#: particles, 0.0235 against 0.0222 ms at 48, 0.0246 against 0.0214 ms
-#: at 64; the crossover lies between 44 and 48 particles.
+#: a 2-vCPU Xeon VM, least CPU time of 30 alternating calls, five rounds),
+#: scan against heap: 0.0227-0.0241 against 0.0240-0.0257 ms at 48
+#: particles, 0.0229-0.0246 against 0.0234-0.0248 ms at 52, 0.0236-0.0274
+#: against 0.0234-0.0263 ms at 56, 0.0260-0.0272 against 0.0242-0.0251 ms
+#: at 64. The float crossover lies between 52 and 56 particles; the count
+#: stays at 48 because exact runs gain from the heap at every size: 0.87
+#: against 0.59 ms per event over 60 events of a 50-particle Fraction gas.
 _HEAP_MIN_PAIRS = 48
 
 _EPS = sys.float_info.epsilon
+
+
+class _Scan:
+    """Event selection by a scan of every pair (``_earliest``) at every
+    event. The scan reads every position, so each step moves them all."""
+
+    def __init__(self, xs: list, vs: list, t: Number) -> None:
+        self.xs, self.vs = xs, vs
+        self.found = _earliest(xs, vs, t)
+
+    def advance(self, dt: Number, found: list) -> None:
+        xs = self.xs
+        xs[:] = [x + v * dt for x, v in zip(xs, self.vs)]
+
+    def after(self, t: Number, resolved: list) -> list[tuple[Pair, Number]]:
+        return _earliest(self.xs, self.vs, t)
+
+    def settle(self) -> None:
+        pass
 
 
 class _PairQueue:
@@ -212,10 +237,22 @@ class _PairQueue:
     through ``_flights``, the scan's rule, so the two share one definition
     of gap, contact and flight time.
 
+    A particle moves only when a pair of it is read. Each event's step
+    ``dt`` joins ``steps``, and ``taken[i]`` counts the steps that ``xs[i]``
+    has taken; just before a pair is read, or resolved, each of its
+    particles takes the steps it missed, one at a time, as ``x + v*dt``
+    with its current velocity. A velocity changes only at a collision, and
+    its particle is up to date then, so every position goes through the
+    float operations of a scan run's move of every position, in the same
+    order, and holds the same bits whenever it is read. Once the steps
+    number as many as the particles, every particle takes them and the
+    list starts again.
+
     The slack is zero in exact mode, where a key is the scan's exact
     ``t + gap/w`` at every later time. In float mode ``_slack`` bounds how
     far that value can drift from the key, so the popped pairs include
-    every pair that the scan would select. An unpopped pair then cannot be
+    every pair that the scan would select. The bound counts every step,
+    which each position still takes. An unpopped pair then cannot be
     out of order: if it closes, its flight time exceeds the earliest, so
     its gap is positive; if it does not close, monotone rounding keeps it
     in order. Pairs already inverted within contact slack that do not
@@ -230,7 +267,9 @@ class _PairQueue:
     """
 
     def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
-        self.exact = exact
+        self.xs, self.vs, self.exact = xs, vs, exact
+        self.steps: list = []
+        self.taken = [0] * len(xs)
         self.live: list = [None] * (len(xs) - 1)
         self.heap: list = []
         self.inverted: set[int] = set()
@@ -238,23 +277,58 @@ class _PairQueue:
         self.found = _select(cands, t)
         # The last selection's candidates, as heap entries (key, idx, w).
         self.pending = self._entries(cands, vs, t)
+        # The smallest w pushed since the heap last ran empty; exact mode
+        # keeps it at inf.
+        self.w_min = math.inf
         if not exact:
             # Float-mode drift bookkeeping: the start, the largest |x| at
             # the start and |v| so far, and, since the heap last ran
-            # empty, its time, the moves made and the smallest w pushed.
+            # empty, its time and the moves made.
             self.t0 = t
             self.x0 = max(map(abs, xs))
             self.vmax = max(map(abs, vs))
-            self.t_empty, self.moves, self.w_min = t, 0, math.inf
+            self.t_empty, self.moves = t, 0
 
     @staticmethod
     def _entries(cands: list, vs: list, t: Number) -> list:
         return [(t + dt, idx, vs[idx] - vs[idx + 1]) for idx, dt in cands]
 
-    def after(
-        self, xs: list, vs: list, t: Number, resolved: list
-    ) -> list[tuple[Pair, Number]]:
+    def _take_steps(self, pairs) -> None:
+        """Bring both particles of each pair in ``pairs`` up to date."""
+        xs, vs, steps, taken = self.xs, self.vs, self.steps, self.taken
+        k = len(steps)
+        for idx in pairs:
+            for i in idx, idx + 1:
+                m = taken[i]
+                if m == k - 1:  # one step behind, as the pairs found are
+                    xs[i] = xs[i] + vs[i] * steps[m]
+                    taken[i] = k
+                elif m != k:
+                    x, v = xs[i], vs[i]
+                    for dt in steps[m:] if m else steps:
+                        x = x + v * dt
+                    xs[i] = x
+                    taken[i] = k
+
+    def advance(self, dt: Number, found: list) -> None:
+        """Move the run by ``dt``: the particles of the pairs ``found``
+        now, the others when they are read."""
+        self.steps.append(dt)
+        if len(self.steps) < len(self.taken):
+            for (i, _), _ in found:
+                self._take_steps((i,))
+        else:
+            self.settle()
+
+    def settle(self) -> None:
+        """Bring every particle up to date and start the steps again."""
+        self._take_steps(range(len(self.live)))
+        self.steps.clear()
+        self.taken = [0] * len(self.taken)
+
+    def after(self, t: Number, resolved: list) -> list[tuple[Pair, Number]]:
         """The selection after the collisions ``resolved`` at time ``t``."""
+        xs, vs, exact = self.xs, self.vs, self.exact
         live, heap, inverted = self.live, self.heap, self.inverted
         last = len(live) - 1
         touched = []  # ascending, as the resolved pairs are
@@ -263,21 +337,19 @@ class _PairQueue:
                 if 0 <= idx <= last and idx not in touched:
                     touched.append(idx)
                     live[idx] = None
-        pushed = [e for e in self.pending if e[1] not in touched]
-        for entry in pushed:
-            live[entry[1]] = entry
-        if heap:
-            for entry in pushed:
+        w_min = self.w_min
+        for entry in self.pending:
+            idx = entry[1]
+            if idx not in touched:
+                live[idx] = entry
                 heapq.heappush(heap, entry)
-        else:
-            heap.extend(pushed)
-            heapq.heapify(heap)
-        if not self.exact:
+                if not exact and entry[2] < w_min:
+                    w_min = entry[2]
+        self.w_min = w_min
+        if not exact:
             self.moves += 1
             for (i, j), _ in resolved:
                 self.vmax = max(self.vmax, abs(vs[i]), abs(vs[j]))
-            if pushed:
-                self.w_min = min(self.w_min, min(e[2] for e in pushed))
 
         # Refresh the touched pairs and recheck the inverted ones, which do
         # not close; ``_flights`` adds back those still inverted.
@@ -285,14 +357,17 @@ class _PairQueue:
         if inverted:
             refresh = sorted(inverted.union(touched))
             inverted.clear()
+        self._take_steps(refresh)
         cands = _flights(xs, vs, inverted, refresh)
         while heap and live[heap[0][1]] is not heap[0]:
             heapq.heappop(heap)
         if heap:
             limit = heap[0][0]
-            if cands:
-                limit = min(limit, t + min(dt for _, dt in cands))
-            if not self.exact:
+            for _, dt in cands:
+                key = t + dt
+                if key < limit:
+                    limit = key
+            if not exact:
                 limit += self._slack(limit, t)
             popped = []
             while heap and heap[0][0] <= limit:
@@ -300,11 +375,14 @@ class _PairQueue:
                 if live[entry[1]] is entry:
                     live[entry[1]] = None
                     popped.append(entry[1])
-            # A live entry's w is still its pair's closing speed, bit for
-            # bit: velocities change only at a collision, which drops it.
-            cands += _flights(xs, vs, pairs=popped)
-            cands.sort()
-        elif not self.exact:
+            if popped:
+                # A live entry's w is still its pair's closing speed, bit
+                # for bit: velocities change only at a collision, which
+                # drops it.
+                self._take_steps(popped)
+                cands += _flights(xs, vs, pairs=popped)
+                cands.sort()
+        elif not exact:
             self.t_empty, self.moves, self.w_min = t, 0, math.inf
         self.pending = self._entries(cands, vs, t)
         return _select(cands, t)
@@ -333,9 +411,12 @@ class _PairQueue:
 
 
 def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
-    """The first selection of a run from ``xs``, ``vs`` at time ``t``, and
-    the function that makes each later one from the positions, velocities
-    and time after an event and the pairs it resolved.
+    """The scheduler of a run from ``xs``, ``vs`` at time ``t``: its first
+    selection ``found``; ``advance(dt, found)``, which moves the run by
+    ``dt`` to the event ``found`` (or to a time limit, with ``found``
+    empty); ``after(t, resolved)``, which makes the next selection after
+    the collisions ``resolved`` at time ``t``; and ``settle()``, which
+    brings every position up to date. It updates ``xs`` in place.
 
     The heap serves runs of at least ``_HEAP_MIN_PAIRS`` pairs that are
     all float or all exact and may take more than one event (building it
@@ -347,12 +428,10 @@ def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
         if types == {float} and (
             type(t) is float or type(t) is int and abs(t) <= 2**53
         ):
-            queue = _PairQueue(xs, vs, t, exact=False)
-            return queue.found, queue.after
+            return _PairQueue(xs, vs, t, exact=False)
         if types <= {int, Fraction} and is_exact(t):
-            queue = _PairQueue(xs, vs, t, exact=True)
-            return queue.found, queue.after
-    return _earliest(xs, vs, t), lambda xs, vs, t, _: _earliest(xs, vs, t)
+            return _PairQueue(xs, vs, t, exact=True)
+    return _Scan(xs, vs, t)
 
 
 def next_collisions(
@@ -485,9 +564,10 @@ def simulate(
     a float event time, collision point or returned position that is not
     finite is a SimulationError.
     """
-    # The particles as last resolved, their positions at time t and their
-    # velocities, with t and the velocities in the frame where the run goes
-    # forward; only colliding pairs get new particles.
+    # The particles as last resolved, their positions (at time t once the
+    # scheduler has moved them) and their velocities, with t and the
+    # velocities in the frame where the run goes forward; only colliding
+    # pairs get new particles.
     back, t, xs, vs = _frame(state, direction)
     ps = list(state.particles)
     if max_events is None and t_limit is None:
@@ -507,22 +587,21 @@ def simulate(
             )
 
     log: list[CollisionEvent] = []
-    found, select = _scheduler(xs, vs, t, max_events)
+    run = _scheduler(xs, vs, t, max_events)
+    found = run.found
     while max_events is None or len(log) < max_events:
         if not found or (t_limit is not None and found[0][1] >= t_limit):
             if t_limit is not None:
-                dt = t_limit - t
-                xs = [x + v * dt for x, v in zip(xs, vs)]
+                run.advance(t_limit - t, [])
                 t = t_limit
             break
         t_event = found[0][1]
-        dt = t_event - t
-        xs = [x + v * dt for x, v in zip(xs, vs)]
+        run.advance(t_event - t, found)
         t = t_event
         try:
             _finite(t, "event time")
             events = _resolve(ps, xs, vs, t, found, back)
-            found = select(xs, vs, t, found)
+            found = run.after(t, found)
         except ValueError as exc:  # bad positions or particle data
             raise SimulationError(
                 f"{exc} (at event index {len(log)})"
@@ -530,11 +609,15 @@ def simulate(
         except BilliardError as exc:
             raise type(exc)(f"{exc} (at event index {len(log)})") from exc
         log.extend(events)
+    run.settle()
     for i, x in enumerate(xs):  # the checks of _finite, inlined
         if type(x) is float and not math.isfinite(x):
             raise SimulationError(
                 f"position of particle {i} is not finite: {x!r} "
                 f"(at event index {len(log)})"
             )
-    particles = tuple(p.with_position(x) for p, x in zip(ps, xs))
+    unchecked = ParticleState._unchecked
+    particles = tuple([
+        unchecked(p.E, p.P, p.mu, x, p.label) for p, x in zip(ps, xs)
+    ])
     return BilliardState(particles, -t if back else t), log

@@ -1376,6 +1376,11 @@ class TestInputAtTheEdge:
                 "line 3: expected adjacent indices i, i + 1, got ('-1', '0')",
             ),
             (
+                lambda tmp: ["render", "--out", str(tmp), "--log",
+                             _damaged_log(tmp, k="banana")],
+                "line 3, k: cannot parse number 'banana'",
+            ),
+            (
                 lambda tmp: ["tachyon-scan", "--mu", "nan,1", "--e-total",
                              "1", "--sigma1", "3", "--steps", "10"],
                 "--mu: expected a finite number, got 'nan'",
@@ -1420,7 +1425,8 @@ class TestInputAtTheEdge:
             "ini-nan", "ini-percent", "ini-percent-key", "csv-t-nan",
             "csv-x-inf", "csv-t-before-x",
             "csv-i-not-int",
-            "csv-pair-not-adjacent", "csv-pair-negative", "grid-nan",
+            "csv-pair-not-adjacent", "csv-pair-negative", "csv-k-word",
+            "grid-nan",
             "grid-word", "grid-sigma1-zero", "cross-check-tol-nan",
             "period-mu-nan", "period-x1-overflow", "estimate-mass-inf",
             "estimate-gravity-word",

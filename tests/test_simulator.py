@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relbilliards as rb
@@ -266,6 +266,22 @@ def runs(draw):
     return state, direction, max_events, draw(st.sampled_from((None, t_limit)))
 
 
+def _at(E, v, x, label):
+    return rb.ParticleState(E, E * v, E * E - (E * v) ** 2, x, label)
+
+
+def _mirror_and_drifters() -> rb.BilliardState:
+    """7 float particles: the mu=4.005 mirror system, which collides
+    without end, and three particles that drift away from it and from each
+    other; a heap run reads the last two only when it brings every
+    particle up to date."""
+    mirror = rb.billiard_from_mirror(*rb.mirror_initial(4.005, 1.0, 1.0, -1.0))
+    drifters = (
+        _at(1.5, 0.5, 50.0, 4), _at(0.8, 0.7, 61.0, 5), _at(1.2, 0.9, 75.0, 6)
+    )
+    return rb.BilliardState(mirror.particles + drifters, mirror.t)
+
+
 def _stepped(state, direction, max_events, t_limit):
     """``simulate`` as chained ``step`` calls, each of which selects its
     event by a scan of every pair. An error names its index in the run."""
@@ -325,6 +341,12 @@ class TestStepMatchesSimulate:
 
     @settings(max_examples=150, deadline=None)
     @given(runs())
+    # Runs of many times N events, which restart the heap's list of
+    # pending steps and move particles by long catch-ups; and a Fraction
+    # gas that takes the heap at the default crossover.
+    @example(run=(_mirror_and_drifters(), "forward", 200, 60.0))
+    @example(run=(_mirror_and_drifters(), "backward", 40, None))
+    @example(run=(_fraction_gas(0, 50), "forward", 60, None))
     def test_heap_matches_scan(self, run):
         """With the heap serving every pair count, ``simulate`` gives the
         result, or the error, of chained steps: float gases with rounding
@@ -372,6 +394,24 @@ class TestObjectCost:
         _, log = rb.simulate(state, "backward", max_events=50)
         assert len(log) >= 50
         assert built <= n + 4 * len(log)
+
+    def test_pending_steps_bounded_by_particles(self, monkeypatch):
+        """A heap run defers the moves of the particles it does not read,
+        and holds at most N pending steps over a run of 20N events."""
+        start = _mirror_and_drifters()
+        n = len(start)
+        held = []
+        after = simulator._PairQueue.after
+
+        def recording(queue, t, resolved):
+            held.append(len(queue.steps))
+            return after(queue, t, resolved)
+
+        monkeypatch.setattr(simulator._PairQueue, "after", recording)
+        monkeypatch.setattr(simulator, "_HEAP_MIN_PAIRS", 1)
+        _, log = rb.simulate(start, max_events=20 * n)
+        assert len(log) >= 20 * n
+        assert 1 < max(held) <= n
 
     def test_exact_mode_fractions_per_event(self, monkeypatch):
         """Exact mode builds no float tolerance scale and no product read
@@ -619,10 +659,6 @@ class TestValidationErrors:
         message = r"^positions must be nondecreasing, .* \(at event index 0\)$"
         with pytest.raises(rb.SimulationError, match=message):
             rb.simulate(bradyon_gas(7, 64), max_events=5)
-
-
-def _at(E, v, x, label):
-    return rb.ParticleState(E, E * v, E * E - (E * v) ** 2, x, label)
 
 
 class TestFloatOverflow:
