@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isfinite
 
 from .errors import DegenerateCollisionError, NoCollisionError, SimulationError
@@ -109,13 +110,91 @@ def _underflows(a: Number, b: Number) -> bool:
     )
 
 
+#: The exact number types that ``collide`` reads as integer pairs.
+_EXACT = (int, Fraction)
+
+_EQUAL_VELOCITIES = "no collision: particles have equal velocities"
+_DEGENERATE = "degenerate collision (s*r = 0): zero rest mass pair"
+
+
+def _energy_sign(sigma: Number, rho: Number) -> int:
+    """An int with the sign of the exact energy (sigma + rho)/2: the
+    numerator of sigma + rho over the positive product of their
+    denominators."""
+    return (
+        sigma.numerator * rho.denominator + rho.numerator * sigma.denominator
+    )
+
+
+def _collide_exact(
+    sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
+) -> tuple[Number, Number, Number, Number, Number, Number, bool, bool, bool]:
+    """``collide`` on int and Fraction coordinates, whose tests compare
+    integers. With sigma_i = a/b, sigma_j = c/d, rho_i = e/f and
+    rho_j = g/h, the sigmas are a*d and c*b over b*d and the rhos e*h and
+    g*f over f*h (all denominators positive); those numerators decide the
+    products sigma*rho and the signs of s and r. The outgoing values, s
+    and r are the only Fractions built, and an int pair that does not
+    swap leaves with Fractions."""
+    a, b = sigma_i.numerator, sigma_i.denominator
+    c, d = sigma_j.numerator, sigma_j.denominator
+    e, f = rho_i.numerator, rho_i.denominator
+    g, h = rho_j.numerator, rho_j.denominator
+    ad, cb, eh, gf = a * d, c * b, e * h, g * f
+    if ad * gf == cb * eh:  # sigma_i*rho_j == sigma_j*rho_i
+        raise NoCollisionError(_EQUAL_VELOCITIES)
+    s = sigma_i + sigma_j
+    r = rho_i + rho_j
+    s_sign, r_sign = ad + cb, eh + gf
+    tachyonic = s_sign < 0 < r_sign or r_sign < 0 < s_sign
+    E_i, E_j = _energy_sign(sigma_i, rho_i), _energy_sign(sigma_j, rho_j)
+    if ad * eh == cb * gf:  # sigma_i*rho_i == sigma_j*rho_j
+        # each leaves with the other's energy: both flip or neither does
+        flip = E_i < 0 < E_j or E_j < 0 < E_i
+        return sigma_j, rho_j, sigma_i, rho_i, s, r, tachyonic, flip, flip
+    if not s_sign or not r_sign:
+        raise DegenerateCollisionError(_DEGENERATE)
+    if type(s) is int and type(r) is int:
+        sr_ratio, rs_ratio = Fraction(s, r), Fraction(r, s)
+    else:
+        sr_ratio, rs_ratio = s / r, r / s
+    sigma_i2, rho_i2 = rho_i * sr_ratio, sigma_i * rs_ratio
+    sigma_j2, rho_j2 = rho_j * sr_ratio, sigma_j * rs_ratio
+    E_i2 = _energy_sign(sigma_i2, rho_i2)
+    E_j2 = _energy_sign(sigma_j2, rho_j2)
+    return (
+        sigma_i2,
+        rho_i2,
+        sigma_j2,
+        rho_j2,
+        s,
+        r,
+        tachyonic,
+        E_i < 0 < E_i2 or E_i2 < 0 < E_i,
+        E_j < 0 < E_j2 or E_j2 < 0 < E_j,
+    )
+
+
 def collide(
     sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
 ) -> tuple[Number, Number, Number, Number, Number, Number, bool, bool, bool]:
     """The collision rule on plain numbers, for the event loop: the pair's
     light-cone coordinates in; ``(sigma_i', rho_i', sigma_j', rho_j', s, r,
     tachyonic, sign_flip_i, sign_flip_j)`` out. ``resolve_collision``
-    documents the rule, its flags and its errors."""
+    documents the rule, its flags and its errors.
+
+    An equal-mass pair swaps: its outgoing coordinates are the incoming
+    objects themselves, exchanged, so a caller tells the swap by identity.
+    In exact arithmetic the swap is an exchange, in which each particle
+    leaves with its partner's energy, momentum and velocity. Int and
+    Fraction coordinates go to ``_collide_exact``, which decides the same
+    tests over integers; an int pair that does not swap leaves with
+    Fractions."""
+    if type(sigma_i) is not float and (
+        type(sigma_i) in _EXACT and type(rho_i) in _EXACT
+        and type(sigma_j) in _EXACT and type(rho_j) in _EXACT
+    ):
+        return _collide_exact(sigma_i, rho_i, sigma_j, rho_j)
     if not _distinct_velocities(sigma_i, rho_i, sigma_j, rho_j):
         if _underflows(sigma_i, rho_j) or _underflows(sigma_j, rho_i):
             raise SimulationError(
@@ -123,9 +202,7 @@ def collide(
                 "fell below the float range, so the velocities cannot be "
                 "compared"
             )
-        raise NoCollisionError(
-            "no collision: particles have equal velocities"
-        )
+        raise NoCollisionError(_EQUAL_VELOCITIES)
 
     s = sigma_i + sigma_j
     r = rho_i + rho_j
@@ -133,9 +210,7 @@ def collide(
         sigma_i2, rho_i2, sigma_j2, rho_j2 = sigma_j, rho_j, sigma_i, rho_i
     else:
         if near_zero(s, sigma_i, sigma_j) or near_zero(r, rho_i, rho_j):
-            raise DegenerateCollisionError(
-                "degenerate collision (s*r = 0): zero rest mass pair"
-            )
+            raise DegenerateCollisionError(_DEGENERATE)
         sr_ratio = s / r
         rs_ratio = r / s
         sigma_i2, rho_i2 = rho_i * sr_ratio, sigma_i * rs_ratio

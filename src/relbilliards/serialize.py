@@ -86,14 +86,27 @@ def events_to_csv(
     (dicts with sigma1/E2/x1/k) for mirror-mode runs; general runs leave
     those columns empty.
     """
+    # Each number object is written once per call, keyed by identity: equal
+    # numbers such as 0.0 and -0.0, or 1 and Fraction(1), are written
+    # differently. The ids stay distinct because ``log`` and ``mirror_rows``
+    # hold every value until the call returns.
+    log = list(events)
+    texts: dict[int, str] = {}
+
+    def fmt(value: Number) -> str:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = format_number(value)
+        return text
+
     lines = [f"# {EVENTS_SCHEMA} arithmetic={arithmetic}", _EVENT_HEADER]
-    for n, event in enumerate(events):
+    for n, event in enumerate(log):
         pre_i, pre_j = event.pre
         post_i, post_j = event.post
         i, j = event.pair
         row = [
-            str(n), format_number(event.t), str(i), str(j),
-            *map(format_number, (
+            str(n), fmt(event.t), str(i), str(j),
+            *map(fmt, (
                 event.x,
                 pre_i.E, pre_i.P, pre_i.mu,
                 pre_j.E, pre_j.P, pre_j.mu,
@@ -108,7 +121,7 @@ def events_to_csv(
             row += ["", "", "", ""]
         else:
             extra = mirror_rows[n]
-            row += map(format_number, (
+            row += map(fmt, (
                 extra["sigma1"], extra["E2"], extra["x1"], extra["k"]
             ))
         lines.append(",".join(row))

@@ -111,16 +111,24 @@ class CollisionEvent:
 
 
 def _frame(state: BilliardState, direction: Direction):
-    """Whether ``direction`` is backward, and the time, positions and
-    velocities of ``state`` in the frame where it runs forward: time
-    reversal negates the clock and every velocity."""
-    ps = state.particles
+    """Whether ``direction`` is backward; the particles of ``state``, each
+    of int E and P at an exact position taken with Fractions, whose
+    quotients stay exact; and the time, positions and velocities of
+    ``state`` in the frame where it runs forward: time reversal negates
+    the clock and every velocity."""
+    ps = [
+        ParticleState._unchecked(
+            Fraction(p.E), Fraction(p.P), p.mu, p.x, p.label
+        )
+        if type(p.E) is int and type(p.P) is int and is_exact(p.x) else p
+        for p in state.particles
+    ]
     xs = [p.x for p in ps]
     if direction == "forward":
-        return False, state.t, xs, [p.P / p.E for p in ps]
+        return False, state.t, ps, xs, [p.P / p.E for p in ps]
     if direction != "backward":
         raise ValidationError(f"unknown direction {direction!r}")
-    return True, -state.t, xs, [-(p.P / p.E) for p in ps]
+    return True, -state.t, ps, xs, [-(p.P / p.E) for p in ps]
 
 
 def _flights(
@@ -444,7 +452,7 @@ def next_collisions(
     A float event time that is not finite is a SimulationError, as in
     ``simulate``.
     """
-    back, t, xs, vs = _frame(state, direction)
+    back, t, _, xs, vs = _frame(state, direction)
     found = _earliest(xs, vs, t)
     if found:
         _finite(found[0][1], "event time")
@@ -507,20 +515,34 @@ def _resolve(
         (sigma_i, rho_i, sigma_j, rho_j, _, _, tachyonic, flip_i, flip_j) = (
             collide(s_i, r_i, s_j, r_j)
         )
-        # E = (sigma + rho)/2 and P = (sigma - rho)/2 in the run's frame,
-        # P negated in the caller's; each mu carried over
-        P_i, P_j = (sigma_i - rho_i) / 2, (sigma_j - rho_j) / 2
-        post_i = ParticleState._evolved(
-            (sigma_i + rho_i) / 2, -P_i if back else P_i, p.mu, x_e, p.label
-        )
-        post_j = ParticleState._evolved(
-            (sigma_j + rho_j) / 2, -P_j if back else P_j, q.mu, x_e, q.label
-        )
-        v_i, v_j = P_i / post_i.E, P_j / post_j.E
-        if v_i > v_j and not near_zero(v_i - v_j, v_i, v_j, 1):
-            raise SimulationError(
-                f"pair ({i}, {j}) still approaching after resolution"
+        if (
+            sigma_i is s_j and rho_i is r_j  # collide's swap
+            and type(p.E) is Fraction and type(p.P) is Fraction
+            and type(q.E) is Fraction and type(q.P) is Fraction
+        ):
+            # An exact exchange, in either frame: each particle leaves with
+            # the other's E, P and velocity, which its own mu fits, and the
+            # pair separates, since it closed.
+            post_i = ParticleState._unchecked(q.E, q.P, p.mu, x_e, p.label)
+            post_j = ParticleState._unchecked(p.E, p.P, q.mu, x_e, q.label)
+            v_i, v_j = vs[j], vs[i]
+        else:
+            # E = (sigma + rho)/2 and P = (sigma - rho)/2 in the run's
+            # frame, P negated in the caller's; each mu carried over
+            P_i, P_j = (sigma_i - rho_i) / 2, (sigma_j - rho_j) / 2
+            post_i = ParticleState._evolved(
+                (sigma_i + rho_i) / 2, -P_i if back else P_i, p.mu, x_e,
+                p.label,
             )
+            post_j = ParticleState._evolved(
+                (sigma_j + rho_j) / 2, -P_j if back else P_j, q.mu, x_e,
+                q.label,
+            )
+            v_i, v_j = P_i / post_i.E, P_j / post_j.E
+            if v_i > v_j and not near_zero(v_i - v_j, v_i, v_j, 1):
+                raise SimulationError(
+                    f"pair ({i}, {j}) still approaching after resolution"
+                )
         ps[i], ps[j] = post_i, post_j
         xs[i] = xs[j] = x_e
         vs[i], vs[j] = v_i, v_j
@@ -568,8 +590,7 @@ def simulate(
     # scheduler has moved them) and their velocities, with t and the
     # velocities in the frame where the run goes forward; only colliding
     # pairs get new particles.
-    back, t, xs, vs = _frame(state, direction)
-    ps = list(state.particles)
+    back, t, ps, xs, vs = _frame(state, direction)
     if max_events is None and t_limit is None:
         raise ValidationError(
             "need max_events and/or t_limit to bound the run"

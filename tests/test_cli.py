@@ -1509,6 +1509,65 @@ _TRIPLES = (
 )
 
 
+class TestLogWrittenOnce:
+    """``events_to_csv`` formats each number object of a log once per
+    call, and each number keeps its own text."""
+
+    def test_each_number_object_formatted_once(self, monkeypatch):
+        """The rational mu=5/4 mirror log of 1200 events, with its mirror
+        columns."""
+        params, m0 = rb.mirror_initial(
+            Fraction(5, 4), Fraction(1), Fraction(1, 3), Fraction(-1),
+            t0=Fraction(0),
+        )
+        _, log = rb.simulate(rb.billiard_from_mirror(params, m0),
+                             max_events=1200)
+        rows = rb.mirror.mirror_columns(log, m0)
+        numbers = {
+            id(value): value
+            for e in log
+            for value in (e.t, e.x, *(
+                getattr(p, key) for p in e.pre + e.post
+                for key in ("E", "P", "mu")
+            ))
+        }
+        numbers.update((id(v), v) for row in rows for v in row.values())
+        assert len(numbers) < (len(_NUMBER_COLUMNS) + 4) * len(log)
+        text = events_to_csv(log, "rational", rows)
+        formatted = []
+        format_number = serialize.format_number
+
+        def formatting(value):
+            formatted.append(value)
+            return format_number(value)
+
+        monkeypatch.setattr(serialize, "format_number", formatting)
+        assert events_to_csv(log, "rational", rows) == text
+        assert sorted(map(id, formatted)) == sorted(numbers)
+
+    def test_equal_numbers_keep_their_text(self):
+        """0.0 and -0.0, and 1, 1.0 and Fraction(1), compare equal and are
+        written differently; so is each of a log given as a generator,
+        whose records are built as it is read."""
+        def log():
+            for k in range(50):
+                zero, one = (0.0, 1.0) if k % 2 else (-0.0, 1)
+                p = rb.ParticleState(one, zero, one, zero, 0)
+                q = rb.ParticleState(Fraction(one), Fraction(0), one, zero, 1)
+                yield rb.CollisionEvent(
+                    float(k), (0, 1), zero, (p, q), (q, p), False,
+                    (False, False),
+                )
+
+        rows = events_to_csv(log()).splitlines()[2:]
+        for k, row in enumerate(rows):
+            zero, one = ("0.0", "1.0") if k % 2 else ("-0.0", "1")
+            assert row.split(",")[1:17] == [
+                f"{k}.0", "0", "1", zero, one, zero, one, "1", "0", one,
+                "1", "0", one, zero, "false", "false",
+            ]
+
+
 class TestLogReadOnce:
     """``events_from_csv`` parses each distinct field text of a file once
     and checks each distinct (E, P, mu) text triple once, counted as

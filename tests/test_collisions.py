@@ -120,6 +120,15 @@ class TestResolveCollision:
         assert out.sr_i_after == rb.SigmaRho(Fraction(-1), Fraction(-1))
         assert out.sr_j_after == rb.SigmaRho(Fraction(2), Fraction(0))
 
+    def test_int_data_leaves_with_fractions(self):
+        out = rb.resolve_collision(rb.SigmaRho(8, 2), rb.SigmaRho(1, 9))
+        i, j = out.sr_i_after, out.sr_j_after
+        assert {type(v) for v in (i.sigma, i.rho, j.sigma, j.rho)} == {Fraction}
+        assert out == rb.resolve_collision(
+            rb.SigmaRho(Fraction(8), Fraction(2)),
+            rb.SigmaRho(Fraction(1), Fraction(9)),
+        )
+
     def test_hand_evaluated_case(self):
         # (E=2, P=1, mu=3) vs (E=1, P=-1, mu=0): s = r = 3
         i = rb.SigmaRho.from_energy_momentum(2.0, 1.0)
@@ -375,20 +384,35 @@ def _outcome(collide, args):
         return type(exc).__name__
 
 
+def _large_fractions() -> tuple[Fraction, ...]:
+    """Zero and five signed Fractions whose numerators and denominators
+    have several hundred bits: p, q, p*k and q/k give equal products
+    p*q, and p and -p a zero sum."""
+    rng = random.Random(25)
+
+    def large():
+        return Fraction(rng.getrandbits(400), rng.getrandbits(300) | 1)
+
+    p, q, k = large(), -large(), large()
+    return Fraction(0), p, q, p * k, q / k, -p
+
+
 class TestComparisonForms:
     """``collide`` reads each energy sign by comparing sigma with -rho,
-    not from the sum: the same outputs, flags and errors as the sums gave,
-    on every tuple of edge floats (signed zeros, the smallest subnormal,
-    products past the float range, equal velocities, massless pairs) and
-    of Fractions."""
+    not from the sum, and decides its exact products over integers: the
+    same outputs, flags and errors as the sums and products gave, on every
+    tuple of edge floats (signed zeros, the smallest subnormal, products
+    past the float range, equal velocities, massless pairs) and of
+    Fractions, small and large."""
 
     @pytest.mark.parametrize(
         "values",
         [
             (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 0.5),
             tuple(map(Fraction, (0, 1, -1, "1/3", "-7/5", 2))),
+            _large_fractions(),
         ],
-        ids=["floats", "fractions"],
+        ids=["floats", "fractions", "large-fractions"],
     )
     def test_same_as_the_sums(self, values):
         for args in itertools.product(values, repeat=4):

@@ -32,6 +32,22 @@ def _fraction_gas(seed: int, n: int) -> rb.BilliardState:
     return rb.BilliardState(tuple(particles), Fraction(0))
 
 
+def _equal_mass_gas(seed: int, n: int) -> rb.BilliardState:
+    """Rational particles of one squared mass, 3/4, with energies of both
+    signs at distinct integer sites: every collision exchanges the pair."""
+    rng = random.Random(seed)
+    xs = sorted(rng.sample(range(4 * n), n))
+    mu = Fraction(3, 4)
+    particles = []
+    for label, x in enumerate(xs):
+        sigma = Fraction(rng.randint(1, 12), 4) * rng.choice((1, -1))
+        rho = mu / sigma
+        particles.append(rb.ParticleState(
+            (sigma + rho) / 2, (sigma - rho) / 2, mu, Fraction(x), label
+        ))
+    return rb.BilliardState(tuple(particles), Fraction(0))
+
+
 def _mixed_gas(seed: int) -> rb.BilliardState:
     """3 to 8 float particles in [0, 10]: bradyons, tachyons and massless
     particles, with |E| in [0.3, 2] of either sign."""
@@ -74,6 +90,10 @@ GOLDEN = {
         "db93ae523acdffcf37fbd2f01978718821659ee77dc4fe02ee5bd3977e5781f2",
     "fraction6-retraced":
         "fc0fe0373da534869972d42c06b42bc2298612e7dd109c3997081e507a843f45",
+    "equal-mass-forward":
+        "2a34fe34fda4fd8fdd47aa8d6367660571d28a8bd1b846e2f9ff7c78a21e5ee5",
+    "equal-mass-retraced":
+        "3a85cf56fa568688baa1c26e3711e026629ecd5517aa1e86202bd36a2f7b41d0",
     "mixed-forward":
         "a95b70caf7814d13154fdedf3f93d9cadba86b68a4eef4cebe2ff6116e265a28",
     "mixed-backward":
@@ -119,6 +139,18 @@ def test_fraction_gas_forward_then_retraced():
     back, back_log = rb.simulate(state, "backward", t_limit=Fraction(0))
     assert back == start
     assert _digest(back, back_log, "rational") == GOLDEN["fraction6-retraced"]
+
+
+def test_equal_mass_gas_forward_then_retraced():
+    """Exact exchanges of massive pairs, tachyonic ones among them, until
+    no collision lies ahead, and back to the start."""
+    start = _equal_mass_gas(5, 10)
+    state, log = rb.simulate(start, max_events=100)
+    assert len(log) == 27 and any(e.tachyonic for e in log)
+    assert _digest(state, log, "rational") == GOLDEN["equal-mass-forward"]
+    back, back_log = rb.simulate(state, "backward", t_limit=Fraction(0))
+    assert back == start
+    assert _digest(back, back_log, "rational") == GOLDEN["equal-mass-retraced"]
 
 
 def test_mixed_species_run():

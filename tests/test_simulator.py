@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -763,6 +763,49 @@ class TestExactMixedSpecies:
         assert back == start
         assert len(back_log) == len(log)
         assert back_log == _batches_reversed(log)
+
+
+def _numbers(value):
+    """Every number in a run's state or log, found through the fields of
+    its records."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (rb.BilliardState, rb.ParticleState,
+                            rb.CollisionEvent)):
+        for field in fields(value):
+            yield from _numbers(getattr(value, field.name))
+    else:
+        yield value
+
+
+class TestIntData:
+    """Int particle data runs in exact mode, as Fractions would."""
+
+    @staticmethod
+    def _start(num):
+        return rb.BilliardState(
+            (
+                rb.ParticleState(num(5), num(3), num(16), num(0), 0),
+                rb.ParticleState(num(5), num(-4), num(9), num(1), 1),
+                rb.ParticleState(num(3), num(0), num(9), num(3), 2),
+                rb.ParticleState(num(-5), num(4), num(9), num(7), 3),
+            ),
+            num(0),
+        )
+
+    def test_same_run_as_fractions(self):
+        """Seven events, four of them exchanges of the mu = 9 pairs, and
+        the retrace: equal to the run on Fractions, with no float."""
+        runs = []
+        for num in (int, Fraction):
+            state, log = rb.simulate(self._start(num), max_events=20)
+            back, back_log = rb.simulate(state, "backward", t_limit=num(0))
+            assert back == self._start(num)
+            runs.append((state, log, back, back_log))
+        assert len(runs[0][1]) == 7
+        assert runs[0] == runs[1]
+        assert float not in set(map(type, _numbers(runs[0])))
 
 
 def _scan_and_heap(run):
