@@ -128,14 +128,14 @@ def _energy_sign(sigma: Number, rho: Number) -> int:
 
 def _collide_exact(
     sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
-) -> tuple[Number, Number, Number, Number, Number, Number, bool, bool, bool]:
+) -> tuple[Number, Number, Number, Number, bool, bool, bool]:
     """``collide`` on int and Fraction coordinates, whose tests compare
     integers. With sigma_i = a/b, sigma_j = c/d, rho_i = e/f and
     rho_j = g/h, the sigmas are a*d and c*b over b*d and the rhos e*h and
     g*f over f*h (all denominators positive); those numerators decide the
-    products sigma*rho and the signs of s and r. The outgoing values, s
-    and r are the only Fractions built, and an int pair that does not
-    swap leaves with Fractions."""
+    products sigma*rho and the signs of s and r. A swap builds no
+    Fraction; otherwise s, r, their ratios and the outgoing values are the
+    only Fractions built, and an int pair leaves with Fractions."""
     a, b = sigma_i.numerator, sigma_i.denominator
     c, d = sigma_j.numerator, sigma_j.denominator
     e, f = rho_i.numerator, rho_i.denominator
@@ -143,17 +143,17 @@ def _collide_exact(
     ad, cb, eh, gf = a * d, c * b, e * h, g * f
     if ad * gf == cb * eh:  # sigma_i*rho_j == sigma_j*rho_i
         raise NoCollisionError(_EQUAL_VELOCITIES)
-    s = sigma_i + sigma_j
-    r = rho_i + rho_j
     s_sign, r_sign = ad + cb, eh + gf
     tachyonic = s_sign < 0 < r_sign or r_sign < 0 < s_sign
     E_i, E_j = _energy_sign(sigma_i, rho_i), _energy_sign(sigma_j, rho_j)
     if ad * eh == cb * gf:  # sigma_i*rho_i == sigma_j*rho_j
         # each leaves with the other's energy: both flip or neither does
         flip = E_i < 0 < E_j or E_j < 0 < E_i
-        return sigma_j, rho_j, sigma_i, rho_i, s, r, tachyonic, flip, flip
+        return sigma_j, rho_j, sigma_i, rho_i, tachyonic, flip, flip
     if not s_sign or not r_sign:
         raise DegenerateCollisionError(_DEGENERATE)
+    s = sigma_i + sigma_j
+    r = rho_i + rho_j
     if type(s) is int and type(r) is int:
         sr_ratio, rs_ratio = Fraction(s, r), Fraction(r, s)
     else:
@@ -167,8 +167,6 @@ def _collide_exact(
         rho_i2,
         sigma_j2,
         rho_j2,
-        s,
-        r,
         tachyonic,
         E_i < 0 < E_i2 or E_i2 < 0 < E_i,
         E_j < 0 < E_j2 or E_j2 < 0 < E_j,
@@ -177,11 +175,12 @@ def _collide_exact(
 
 def collide(
     sigma_i: Number, rho_i: Number, sigma_j: Number, rho_j: Number
-) -> tuple[Number, Number, Number, Number, Number, Number, bool, bool, bool]:
+) -> tuple[Number, Number, Number, Number, bool, bool, bool]:
     """The collision rule on plain numbers, for the event loop: the pair's
-    light-cone coordinates in; ``(sigma_i', rho_i', sigma_j', rho_j', s, r,
-    tachyonic, sign_flip_i, sign_flip_j)`` out. ``resolve_collision``
-    documents the rule, its flags and its errors.
+    light-cone coordinates in; the seven values ``(sigma_i', rho_i',
+    sigma_j', rho_j', tachyonic, sign_flip_i, sign_flip_j)`` out, without
+    the sums s and r, which the event loop does not read.
+    ``resolve_collision`` documents the rule, its flags and its errors.
 
     An equal-mass pair swaps: its outgoing coordinates are the incoming
     objects themselves, exchanged, so a caller tells the swap by identity.
@@ -221,8 +220,6 @@ def collide(
         rho_i2,
         sigma_j2,
         rho_j2,
-        s,
-        r,
         _opposite_signs(s, r),
         _energy_flipped(sigma_i, rho_i, sigma_i2, rho_i2),
         _energy_flipped(sigma_j, rho_j, sigma_j2, rho_j2),
@@ -242,9 +239,10 @@ def resolve_collision(i: SigmaRho, j: SigmaRho) -> CollisionOutcome:
     sigma_i' = sigma_j etc., which is what the general formulas reduce to
     in that case but stays exact (and well defined) without divisions.
     """
-    sigma_i, rho_i, sigma_j, rho_j, *rest = collide(
+    sigma_i, rho_i, sigma_j, rho_j, *flags = collide(
         i.sigma, i.rho, j.sigma, j.rho
     )
+    s, r = i.sigma + j.sigma, i.rho + j.rho
     return CollisionOutcome(
-        SigmaRho(sigma_i, rho_i), SigmaRho(sigma_j, rho_j), *rest
+        SigmaRho(sigma_i, rho_i), SigmaRho(sigma_j, rho_j), s, r, *flags
     )

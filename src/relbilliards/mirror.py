@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import ParticleState, massless, unchecked_constructor
-from .numeric import REL_TOL, Number, near_zero, rel_diff
+from .numeric import REL_TOL, Number, is_exact, near_zero, rel_diff
 from .simulator import BilliardState, CollisionEvent, simulate
 
 
@@ -240,8 +240,15 @@ def mirror_initial(
     float E2 past the float range is a SimulationError. A float k past the
     float range is recorded as it is: ``finite_k`` refuses it where
     ``mirror`` and ``simulate`` write it, after the run, whose own errors
-    come first.
+    come first. When ``mu``, ``E_total``, ``sigma1_0`` and ``x1_0`` are all
+    exact, the ints among them are taken as Fractions, whose quotients stay
+    exact.
     """
+    data = mu, E_total, sigma1_0, x1_0
+    if all(map(is_exact, data)):
+        mu, E_total, sigma1_0, x1_0 = (
+            Fraction(v) if type(v) is int else v for v in data
+        )
     params = MirrorParams(mu, E_total)
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")

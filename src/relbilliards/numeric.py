@@ -8,7 +8,9 @@ implicitly by the number types fed in:
 * exact mode -- ``fractions.Fraction`` (or int) inputs, in which case all
   zero tests are exact and results are bit-reproducible. A run takes the
   int E and P of a particle at an exact position as Fractions, so its
-  quotients stay exact.
+  quotients stay exact, and a state given without a start time starts at
+  the int 0; ``mirror_initial`` takes int data as Fractions when all of
+  it is exact.
 
 An exact test compares, it never builds the value it tests: ``b < a``
 rather than ``b - a < 0``, ``sigma < -rho`` rather than
@@ -16,9 +18,10 @@ rather than ``b - a < 0``, ``sigma < -rho`` rather than
 denominators rather than a Fraction drift. ``collide`` decides its
 product tests (equal velocities, equal squared masses) and its sign
 tests over integer numerators and denominators too, and builds only the
-values it returns. Between two floats the comparison decides exactly
-what the built value would, so one form serves both modes; a float
-difference is built only where a tolerance needs it.
+values it returns and the sums and ratios that they come from. Between
+two floats the comparison decides exactly what the built value would, so
+one form serves both modes; a float difference is built only where a
+tolerance needs it.
 
 A zero test takes the terms of its tolerance scale, not the scale: the
 scale is summed only for a float, since an exact value is compared with

@@ -67,10 +67,11 @@ def _contact(a: Number, b: Number) -> Number:
 
 @dataclass(frozen=True)
 class BilliardState:
-    """Ordered particles plus the current time. A transferable value."""
+    """Ordered particles plus the current time, 0 (an int, so exact data
+    runs on an exact clock) unless given. A transferable value."""
 
     particles: tuple[ParticleState, ...]
-    t: Number = 0.0
+    t: Number = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.particles, tuple):
@@ -236,14 +237,15 @@ class _PairQueue:
     Comput. Phys. 94, 1991).
 
     After an event only the pairs next to a resolved pair are refreshed
-    (``gap/w`` from the current positions). Every other candidate of a
-    selection joins the heap, keyed by ``t + dt``, unless the next event
-    touches it; an entry is live while it is its pair's entry in ``live``.
-    A selection pops every entry keyed within a slack of the earliest key
-    or fresh time, recomputes ``gap/w`` for the popped pairs, and applies
-    ``_select`` to the fresh and popped pairs together. Every pair is read
-    through ``_flights``, the scan's rule, so the two share one definition
-    of gap, contact and flight time.
+    (``gap/w`` from the current positions). Every candidate of a selection
+    joins the heap when the selection is made, keyed by ``t + dt``; an
+    entry is live while it is its pair's entry in ``live``. The pairs that
+    the next event touches lose their entries there, and a stale entry is
+    dropped when it is popped. A selection pops every entry keyed within a
+    slack of the earliest key or fresh time, recomputes ``gap/w`` for the
+    popped pairs, and applies ``_select`` to the fresh and popped pairs
+    together. Every pair is read through ``_flights``, the scan's rule, so
+    the two share one definition of gap, contact and flight time.
 
     A particle moves only when a pair of it is read. Each event's step
     ``dt`` joins ``steps``, and ``taken[i]`` counts the steps that ``xs[i]``
@@ -267,9 +269,10 @@ class _PairQueue:
     close are rechecked at every selection, as the scan does.
 
     The same invariant makes the heap's order errors the scan's. The
-    touched and inverted pairs are read first, in ascending order; a pair
-    in the heap, popped or not, closes with a key past the event after
-    which it was pushed, so its gap is positive, and a pair that does not
+    touched and inverted pairs are read first, in ascending order; a live
+    pair in the heap, popped or not, was not selected at the event after
+    which it was pushed (those pairs are touched), so it closes with a key
+    past that event and its gap is positive, and a pair that does not
     close stays in order. The first pair that ``_flights`` finds out of
     order is therefore the scan's first.
     """
@@ -281,13 +284,12 @@ class _PairQueue:
         self.live: list = [None] * (len(xs) - 1)
         self.heap: list = []
         self.inverted: set[int] = set()
-        cands = _flights(xs, vs, self.inverted)
-        self.found = _select(cands, t)
-        # The last selection's candidates, as heap entries (key, idx, w).
-        self.pending = self._entries(cands, vs, t)
-        # The smallest w pushed since the heap last ran empty; exact mode
-        # keeps it at inf.
+        # The smallest w pushed since the heap last ran empty, stale entries
+        # included, which only widens the slack; exact mode keeps it at inf.
         self.w_min = math.inf
+        cands = _flights(xs, vs, self.inverted)
+        self._push(cands, t)
+        self.found = _select(cands, t)
         if not exact:
             # Float-mode drift bookkeeping: the start, the largest |x| at
             # the start and |v| so far, and, since the heap last ran
@@ -297,9 +299,19 @@ class _PairQueue:
             self.vmax = max(map(abs, vs))
             self.t_empty, self.moves = t, 0
 
-    @staticmethod
-    def _entries(cands: list, vs: list, t: Number) -> list:
-        return [(t + dt, idx, vs[idx] - vs[idx + 1]) for idx, dt in cands]
+    def _push(self, cands: list, t: Number) -> None:
+        """Push each candidate ``(idx, dt)`` of the selection at time ``t``
+        as its pair's live entry ``(t + dt, idx, w)``, with ``w`` the
+        pair's closing speed."""
+        vs, live, heap, exact = self.vs, self.live, self.heap, self.exact
+        w_min = self.w_min
+        for idx, dt in cands:
+            w = vs[idx] - vs[idx + 1]
+            live[idx] = entry = (t + dt, idx, w)
+            heapq.heappush(heap, entry)
+            if not exact and w < w_min:
+                w_min = w
+        self.w_min = w_min
 
     def _take_steps(self, pairs) -> None:
         """Bring both particles of each pair in ``pairs`` up to date."""
@@ -308,10 +320,7 @@ class _PairQueue:
         for idx in pairs:
             for i in idx, idx + 1:
                 m = taken[i]
-                if m == k - 1:  # one step behind, as the pairs found are
-                    xs[i] = xs[i] + vs[i] * steps[m]
-                    taken[i] = k
-                elif m != k:
+                if m != k:
                     x, v = xs[i], vs[i]
                     for dt in steps[m:] if m else steps:
                         x = x + v * dt
@@ -345,15 +354,6 @@ class _PairQueue:
                 if 0 <= idx <= last and idx not in touched:
                     touched.append(idx)
                     live[idx] = None
-        w_min = self.w_min
-        for entry in self.pending:
-            idx = entry[1]
-            if idx not in touched:
-                live[idx] = entry
-                heapq.heappush(heap, entry)
-                if not exact and entry[2] < w_min:
-                    w_min = entry[2]
-        self.w_min = w_min
         if not exact:
             self.moves += 1
             for (i, j), _ in resolved:
@@ -392,7 +392,7 @@ class _PairQueue:
                 cands.sort()
         elif not exact:
             self.t_empty, self.moves, self.w_min = t, 0, math.inf
-        self.pending = self._entries(cands, vs, t)
+        self._push(cands, t)
         return _select(cands, t)
 
     def _slack(self, m: float, t: float) -> float:
@@ -512,8 +512,8 @@ def _resolve(
         s_i, r_i, s_j, r_j = p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P
         if back:
             s_i, r_i, s_j, r_j = r_i, s_i, r_j, s_j
-        (sigma_i, rho_i, sigma_j, rho_j, _, _, tachyonic, flip_i, flip_j) = (
-            collide(s_i, r_i, s_j, r_j)
+        sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = collide(
+            s_i, r_i, s_j, r_j
         )
         if (
             sigma_i is s_j and rho_i is r_j  # collide's swap

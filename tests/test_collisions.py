@@ -343,8 +343,9 @@ class TestFloatUnderflow:
 
 def _collide_by_sums(sigma_i, rho_i, sigma_j, rho_j):
     """``collide`` as written before its sign tests became comparisons:
-    each energy sign read from the sum sigma + rho, built. The reference
-    for ``TestComparisonForms``."""
+    each energy sign read from the sum sigma + rho, built. It returns the
+    seven values that ``collide`` returns. The reference for
+    ``TestComparisonForms``."""
     a, b = sigma_i * rho_j, sigma_j * rho_i
     if type(a) is float and not (math.isfinite(a) and math.isfinite(b)):
         raise rb.SimulationError("float overflow")
@@ -370,7 +371,7 @@ def _collide_by_sums(sigma_i, rho_i, sigma_j, rho_j):
     def opposite(u, v):
         return u < 0 < v or v < 0 < u
 
-    return (*out, s, r, opposite(s, r),
+    return (*out, opposite(s, r),
             opposite(sigma_i + rho_i, out[0] + out[1]),
             opposite(sigma_j + rho_j, out[2] + out[3]))
 
@@ -403,7 +404,8 @@ class TestComparisonForms:
     same outputs, flags and errors as the sums and products gave, on every
     tuple of edge floats (signed zeros, the smallest subnormal, products
     past the float range, equal velocities, massless pairs) and of
-    Fractions, small and large."""
+    Fractions, small and large. ``resolve_collision`` gives the sums s and
+    r as they were built."""
 
     @pytest.mark.parametrize(
         "values",
@@ -416,6 +418,11 @@ class TestComparisonForms:
     )
     def test_same_as_the_sums(self, values):
         for args in itertools.product(values, repeat=4):
-            assert _outcome(rb.collisions.collide, args) == _outcome(
-                _collide_by_sums, args
-            ), args
+            outcome = _outcome(rb.collisions.collide, args)
+            assert outcome == _outcome(_collide_by_sums, args), args
+            if outcome.startswith("("):  # did not raise
+                out = rb.resolve_collision(
+                    rb.SigmaRho(*args[:2]), rb.SigmaRho(*args[2:])
+                )
+                assert repr(out.s) == repr(args[0] + args[2]), args
+                assert repr(out.r) == repr(args[1] + args[3]), args

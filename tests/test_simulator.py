@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -718,15 +718,21 @@ class TestFloatOverflow:
 def exact_mixed_gases(draw):
     """2 to 6 rational particles at distinct positions: bradyons, tachyons
     and massless particles, each energy sign, small numerators and
-    denominators, and a rational start time."""
+    denominators, and a rational start time. Some draws give their
+    integral values as ints, and some omit the start time."""
+    ints = draw(st.booleans())
+
+    def num(value):
+        return int(value) if ints and value.denominator == 1 else value
+
     n = draw(st.integers(2, 6))
     sites = draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n,
                           unique=True))
     energies = st.fractions(-2, 2, max_denominator=4).filter(bool)
     particles = []
     for label, site in enumerate(sorted(sites)):
-        x = Fraction(site, 4)
-        E = draw(energies)
+        x = num(Fraction(site, 4))
+        E = num(draw(energies))
         kind = draw(st.sampled_from(("bradyon", "tachyon", "massless")))
         if kind == "massless":
             particles.append(
@@ -740,9 +746,11 @@ def exact_mixed_gases(draw):
         else:
             v = draw(st.fractions(-4, 4, max_denominator=8))
             assume(abs(v) > 1)
-        P = E * v
-        particles.append(rb.ParticleState(E, P, E * E - P * P, x, label))
-    t0 = draw(st.fractions(-4, 4, max_denominator=4))
+        P = num(E * v)
+        particles.append(rb.ParticleState(E, P, num(E * E - P * P), x, label))
+    if draw(st.booleans()):
+        return rb.BilliardState(tuple(particles))
+    t0 = num(draw(st.fractions(-4, 4, max_denominator=4)))
     return rb.BilliardState(tuple(particles), t0)
 
 
@@ -752,7 +760,14 @@ class TestExactMixedSpecies:
     def test_conserves_and_retraces_or_fails_by_name(self, start):
         """A rational run of every species either stops with a named
         error, or conserves E and P exactly and a backward run to the start
-        time gives back the start state and the reversed log exactly."""
+        time gives back the start state and the reversed log exactly, with
+        no float in either run, on the scan and on the heap."""
+        self._check(start)
+        with patch.object(simulator, "_HEAP_MIN_PAIRS", 1):
+            self._check(start)
+
+    @staticmethod
+    def _check(start):
         try:
             end, log = rb.simulate(start, max_events=12)
         except rb.BilliardError:
@@ -763,16 +778,17 @@ class TestExactMixedSpecies:
         assert back == start
         assert len(back_log) == len(log)
         assert back_log == _batches_reversed(log)
+        runs = end, log, back, back_log
+        assert float not in set(map(type, _numbers(runs)))
 
 
 def _numbers(value):
-    """Every number in a run's state or log, found through the fields of
-    its records."""
+    """Every number in a run's state or log, or in mirror data, found
+    through the fields of its records."""
     if isinstance(value, (tuple, list)):
         for item in value:
             yield from _numbers(item)
-    elif isinstance(value, (rb.BilliardState, rb.ParticleState,
-                            rb.CollisionEvent)):
+    elif is_dataclass(value):
         for field in fields(value):
             yield from _numbers(getattr(value, field.name))
     else:
@@ -804,6 +820,25 @@ class TestIntData:
             assert back == self._start(num)
             runs.append((state, log, back, back_log))
         assert len(runs[0][1]) == 7
+        assert runs[0] == runs[1]
+        assert float not in set(map(type, _numbers(runs[0])))
+
+    def test_mirror_same_as_fractions(self):
+        """``mirror_initial`` on ints gives the exact data that it gives on
+        Fractions, and so do the reduced orbit, the billiard built from it,
+        a nine-event run of that billiard and the orbit read from its log,
+        with no float."""
+        runs = []
+        for num in (int, Fraction):
+            params, initial = rb.mirror_initial(num(4), num(1), num(1),
+                                                num(-1))
+            orbit = rb.reduced_trajectory(params, initial, 6, 6)
+            billiard = rb.billiard_from_mirror(params, initial)
+            state, log = rb.simulate(billiard, max_events=9)
+            reduced = rb.reduced_states_from_events(log, initial)
+            runs.append((params, initial, orbit, billiard, state, log,
+                         reduced))
+        assert len(runs[0][5]) == 9
         assert runs[0] == runs[1]
         assert float not in set(map(type, _numbers(runs[0])))
 
