@@ -135,7 +135,12 @@ def _collide_exact(
     g*f over f*h (all denominators positive); those numerators decide the
     products sigma*rho and the signs of s and r. A swap builds no
     Fraction; otherwise s, r, their ratios and the outgoing values are the
-    only Fractions built, and an int pair leaves with Fractions."""
+    only Fractions built, and an int pair leaves with Fractions.
+
+    r/s is taken as ``1 / (s/r)``: the reciprocal of a reduced fraction is
+    reduced, so its division reduces by gcds against 1 (on Python 3.11 and
+    later), where ``r / s`` would take two gcds of big integers to find
+    the same value (Knuth, TAOCP vol. 2, 4.5.1)."""
     a, b = sigma_i.numerator, sigma_i.denominator
     c, d = sigma_j.numerator, sigma_j.denominator
     e, f = rho_i.numerator, rho_i.denominator
@@ -154,10 +159,8 @@ def _collide_exact(
         raise DegenerateCollisionError(_DEGENERATE)
     s = sigma_i + sigma_j
     r = rho_i + rho_j
-    if type(s) is int and type(r) is int:
-        sr_ratio, rs_ratio = Fraction(s, r), Fraction(r, s)
-    else:
-        sr_ratio, rs_ratio = s / r, r / s
+    sr_ratio = Fraction(s, r) if type(s) is int and type(r) is int else s / r
+    rs_ratio = 1 / sr_ratio
     sigma_i2, rho_i2 = rho_i * sr_ratio, sigma_i * rs_ratio
     sigma_j2, rho_j2 = rho_j * sr_ratio, sigma_j * rs_ratio
     E_i2 = _energy_sign(sigma_i2, rho_i2)

@@ -18,7 +18,11 @@ rather than ``b - a < 0``, ``sigma < -rho`` rather than
 denominators rather than a Fraction drift. ``collide`` decides its
 product tests (equal velocities, equal squared masses) and its sign
 tests over integer numerators and denominators too, and builds only the
-values it returns and the sums and ratios that they come from. Between
+values it returns and the sums and ratios that they come from; it takes
+r/s as the reciprocal of s/r, which needs no gcd of big integers. An
+exact run also keeps what it has already computed: each particle's
+sigma and rho from one collision to the next, one meeting point per
+colliding pair, and the selected flight time as its step. Between
 two floats the comparison decides exactly what the built value would, so
 one form serves both modes; a float difference is built only where a
 tolerance needs it.

@@ -25,6 +25,18 @@ its ``pre`` and ``post`` states in time order. The collision law is
 symmetric under that reversal, so a forward run followed by a backward
 run of the same length retraces itself; in rational mode its log is the
 forward log with the batches of simultaneous events in reverse order.
+
+An exact run (int or Fraction clock, positions and velocities, decided
+once per run) recomputes nothing it already holds. It carries each
+particle's (sigma, rho) next to its position and velocity, in the run's
+frame, so that ``_resolve`` hands the carried pair to the collision law
+and keeps what the law returns, on an exchange the exchanged pair; a run
+of any other kind builds each colliding pair's sigma and rho from E and P.
+Exact meeting times bring both particles of a pair to one point, so the
+scan moves only the left one there and gives the right one its position,
+and each step is the selected flight time itself rather than the event
+time less the clock, a value equal to it. Every number is the one that
+recomputing it would give, in value and type.
 """
 
 from __future__ import annotations
@@ -52,6 +64,10 @@ from .numeric import REL_TOL, Number, is_exact, near_zero
 Direction = Literal["forward", "backward"]
 
 Pair = tuple[int, int]
+
+#: A selection: the step to the next event time, and the pairs that meet
+#: then, each with that time.
+_Selection = tuple[Number | None, list[tuple[Pair, Number]]]
 
 
 def _contact(a: Number, b: Number) -> Number:
@@ -162,12 +178,14 @@ def _flights(
     return cands
 
 
-def _select(
-    cands: list[tuple[int, Number]], t: Number
-) -> list[tuple[Pair, Number]]:
-    """The candidates ``(idx, flight time)``, given in index order, that
-    achieve the earliest intersection after time ``t``, each with the event
-    time.
+def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
+    """The step from time ``t`` to the earliest intersection after it, and
+    the candidates ``(idx, flight time)``, given in index order, that
+    achieve it, each with the event time; ``(None, [])`` if there are none.
+
+    The step is the shortest flight time itself where it and ``t`` are
+    exact, since the event time less ``t`` equals it there; otherwise it is
+    that difference, as the float clock gives it.
 
     A pair ties with the earliest when its flight time exceeds the
     shortest by zero, or, if that excess is a float, by at most ``REL_TOL``
@@ -176,14 +194,18 @@ def _select(
     some flight time is a float.
     """
     if not cands:
-        return []
+        return None, []
     dts = [dt for _, dt in cands]
     dt_min = min(dts)
     t_event = t + dt_min
     tol = 0  # an exact excess is positive: only the minimum ties
+    step = dt_min
     if float in map(type, dts):
         tol = REL_TOL * max(1.0, abs(float(t_event)))
-    return [
+        step = t_event - t
+    elif type(t) is float:
+        step = t_event - t
+    return step, [
         ((idx, idx + 1), t_event)
         for idx, dt in cands
         if dt == dt_min
@@ -191,9 +213,10 @@ def _select(
     ]
 
 
-def _earliest(xs: list, vs: list, t: Number) -> list[tuple[Pair, Number]]:
-    """Adjacent pairs achieving the earliest intersection after time ``t``,
-    from a scan of every pair."""
+def _earliest(xs: list, vs: list, t: Number) -> _Selection:
+    """The step to the earliest intersection after time ``t`` and the
+    adjacent pairs achieving it, as ``_select`` gives them, from a scan of
+    every pair."""
     return _select(_flights(xs, vs), t)
 
 
@@ -216,19 +239,38 @@ class _Scan:
     """Event selection by a scan of every pair (``_earliest``) at every
     event. The scan reads every position, so each step moves them all."""
 
+    exact = False
+
     def __init__(self, xs: list, vs: list, t: Number) -> None:
         self.xs, self.vs = xs, vs
-        self.found = _earliest(xs, vs, t)
+        self.selection = _earliest(xs, vs, t)
 
     def advance(self, dt: Number, found: list) -> None:
         xs = self.xs
         xs[:] = [x + v * dt for x, v in zip(xs, self.vs)]
 
-    def after(self, t: Number, resolved: list) -> list[tuple[Pair, Number]]:
+    def after(self, t: Number, resolved: list) -> _Selection:
         return _earliest(self.xs, self.vs, t)
 
     def settle(self) -> None:
         pass
+
+
+class _ExactScan(_Scan):
+    """The scan of an exact run. Each pair of a selection meets at one
+    point, exactly, so only its left particle moves there and the right
+    one takes that position; every other particle moves as in ``_Scan``."""
+
+    exact = True
+
+    def advance(self, dt: Number, found: list) -> None:
+        xs = self.xs
+        met = {i + 1 for (i, _), _ in found}
+        for k, v in enumerate(self.vs):
+            if k not in met:
+                xs[k] = xs[k] + v * dt
+        for (i, j), _ in found:
+            xs[j] = xs[i]
 
 
 class _PairQueue:
@@ -289,7 +331,7 @@ class _PairQueue:
         self.w_min = math.inf
         cands = _flights(xs, vs, self.inverted)
         self._push(cands, t)
-        self.found = _select(cands, t)
+        self.selection = _select(cands, t)
         if not exact:
             # Float-mode drift bookkeeping: the start, the largest |x| at
             # the start and |v| so far, and, since the heap last ran
@@ -343,7 +385,7 @@ class _PairQueue:
         self.steps.clear()
         self.taken = [0] * len(self.taken)
 
-    def after(self, t: Number, resolved: list) -> list[tuple[Pair, Number]]:
+    def after(self, t: Number, resolved: list) -> _Selection:
         """The selection after the collisions ``resolved`` at time ``t``."""
         xs, vs, exact = self.xs, self.vs, self.exact
         live, heap, inverted = self.live, self.heap, self.inverted
@@ -419,27 +461,31 @@ class _PairQueue:
 
 
 def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
-    """The scheduler of a run from ``xs``, ``vs`` at time ``t``: its first
-    selection ``found``; ``advance(dt, found)``, which moves the run by
-    ``dt`` to the event ``found`` (or to a time limit, with ``found``
-    empty); ``after(t, resolved)``, which makes the next selection after
-    the collisions ``resolved`` at time ``t``; and ``settle()``, which
-    brings every position up to date. It updates ``xs`` in place.
+    """The scheduler of a run from ``xs``, ``vs`` at time ``t``: whether the
+    run is ``exact``; its first ``selection``, ``(dt, found)``;
+    ``advance(dt, found)``, which moves the run by the step ``dt`` to the
+    event ``found`` (or to a time limit, with ``found`` empty);
+    ``after(t, resolved)``, which makes the next selection after the
+    collisions ``resolved`` at time ``t``; and ``settle()``, which brings
+    every position up to date. It updates ``xs`` in place.
 
-    The heap serves runs of at least ``_HEAP_MIN_PAIRS`` pairs that are
-    all float or all exact and may take more than one event (building it
-    costs about one scan); the others scan every pair at every event. The
-    heap costs 10% more on four float particles, half on Fraction gases.
+    A run is exact when its clock, positions and velocities are all int or
+    Fraction, which is decided here, once per run, and for a float run at
+    its first float. The heap serves runs of at least ``_HEAP_MIN_PAIRS``
+    pairs that are all float or all exact and may take more than one event
+    (building it costs about one scan); the others scan every pair at
+    every event. The heap costs 10% more on four float particles, half on
+    Fraction gases.
     """
+    exact = is_exact(t) and all(map(is_exact, vs)) and all(map(is_exact, xs))
     if len(xs) > _HEAP_MIN_PAIRS and (max_events is None or max_events > 1):
-        types = {*map(type, xs), *map(type, vs)}
-        if types == {float} and (
+        if exact:
+            return _PairQueue(xs, vs, t, exact=True)
+        if {*map(type, xs), *map(type, vs)} == {float} and (
             type(t) is float or type(t) is int and abs(t) <= 2**53
         ):
             return _PairQueue(xs, vs, t, exact=False)
-        if types <= {int, Fraction} and is_exact(t):
-            return _PairQueue(xs, vs, t, exact=True)
-    return _Scan(xs, vs, t)
+    return _ExactScan(xs, vs, t) if exact else _Scan(xs, vs, t)
 
 
 def next_collisions(
@@ -453,7 +499,7 @@ def next_collisions(
     ``simulate``.
     """
     back, t, _, xs, vs = _frame(state, direction)
-    found = _earliest(xs, vs, t)
+    _, found = _earliest(xs, vs, t)
     if found:
         _finite(found[0][1], "event time")
     return [(pair, -t if back else t) for pair, t in found]
@@ -486,14 +532,24 @@ def _check_disjoint(selected: list[Pair]) -> None:
 
 
 def _resolve(
-    ps: list, xs: list, vs: list, t: Number, found: list, back: bool
+    ps: list,
+    xs: list,
+    vs: list,
+    t: Number,
+    found: list,
+    back: bool,
+    lc: list | None,
 ) -> list[CollisionEvent]:
     """Resolve the collisions ``found`` at time ``t``, where the particles
-    ``ps`` sit at ``xs``; update ``ps``, ``xs`` and ``vs`` for the colliding
-    pairs and return their events.
+    ``ps`` sit at ``xs``; update ``ps``, ``xs``, ``vs`` and ``lc`` for the
+    colliding pairs and return their events.
 
     ``t`` and ``vs`` are in the frame where the run goes forward, which is
     time-reversed if ``back``; ``ps`` and the events are in the caller's.
+    In an exact run ``lc`` holds each particle's (sigma, rho) in the run's
+    frame, and both particles of a pair sit at its meeting point; in any
+    other run it is None, and each pair's coordinates are built from its
+    particles.
     """
     selected = [pair for pair, _ in found]
     if len(selected) > 1:  # one pair shares no particle
@@ -502,16 +558,20 @@ def _resolve(
     t_event = -t if back else t
     events = []
     for i, j in selected:  # left-to-right; pairs are disjoint
-        a, b = xs[i], xs[j]
-        # An exact pair meets at one point. Floats keep the midpoint: it
-        # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
-        x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
-        _finite(x_e, "collision point")
         p, q = ps[i], ps[j]
-        # (sigma, rho) = (E + P, E - P); time reversal swaps the two
-        s_i, r_i, s_j, r_j = p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P
-        if back:
-            s_i, r_i, s_j, r_j = r_i, s_i, r_j, s_j
+        if lc is None:
+            a, b = xs[i], xs[j]
+            # An exact pair meets at one point. Floats keep the midpoint: it
+            # takes -0.0 and 0.0 to 0.0, and is a float for a mixed pair.
+            x_e = a if a == b and is_exact(a) and is_exact(b) else (a + b) / 2
+            _finite(x_e, "collision point")
+            # (sigma, rho) = (E + P, E - P); time reversal swaps the two
+            s_i, r_i, s_j, r_j = p.E + p.P, p.E - p.P, q.E + q.P, q.E - q.P
+            if back:
+                s_i, r_i, s_j, r_j = r_i, s_i, r_j, s_j
+        else:  # exact: one meeting point, and the carried coordinates
+            x_e = xs[i]
+            (s_i, r_i), (s_j, r_j) = lc[i], lc[j]
         sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = collide(
             s_i, r_i, s_j, r_j
         )
@@ -543,6 +603,8 @@ def _resolve(
                 raise SimulationError(
                     f"pair ({i}, {j}) still approaching after resolution"
                 )
+        if lc is not None:
+            lc[i], lc[j] = (sigma_i, rho_i), (sigma_j, rho_j)
         ps[i], ps[j] = post_i, post_j
         xs[i] = xs[j] = x_e
         vs[i], vs[j] = v_i, v_j
@@ -609,20 +671,27 @@ def simulate(
 
     log: list[CollisionEvent] = []
     run = _scheduler(xs, vs, t, max_events)
-    found = run.found
+    # An exact run carries each particle's (sigma, rho) = (E + P, E - P)
+    # in the run's frame, where time reversal swaps the two.
+    lc = None
+    if run.exact:
+        lc = [
+            (p.E - p.P, p.E + p.P) if back else (p.E + p.P, p.E - p.P)
+            for p in ps
+        ]
+    dt, found = run.selection
     while max_events is None or len(log) < max_events:
         if not found or (t_limit is not None and found[0][1] >= t_limit):
             if t_limit is not None:
                 run.advance(t_limit - t, [])
                 t = t_limit
             break
-        t_event = found[0][1]
-        run.advance(t_event - t, found)
-        t = t_event
+        run.advance(dt, found)
+        t = found[0][1]
         try:
             _finite(t, "event time")
-            events = _resolve(ps, xs, vs, t, found, back)
-            found = run.after(t, found)
+            events = _resolve(ps, xs, vs, t, found, back, lc)
+            dt, found = run.after(t, found)
         except ValueError as exc:  # bad positions or particle data
             raise SimulationError(
                 f"{exc} (at event index {len(log)})"

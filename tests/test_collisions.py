@@ -30,6 +30,19 @@ def species_pairs(draw):
     return state(), state()
 
 
+@st.composite
+def exact_sigma_rho_pairs(draw):
+    """Two light-cone states whose coordinates are each a nonzero int or
+    Fraction."""
+    coord = st.one_of(
+        st.integers(-6, 6), st.fractions(-4, 4, max_denominator=16)
+    ).filter(bool)
+    return (
+        rb.SigmaRho(draw(coord), draw(coord)),
+        rb.SigmaRho(draw(coord), draw(coord)),
+    )
+
+
 def _quadratic_oracle(i: rb.SigmaRho, j: rb.SigmaRho):
     """Independent outcome oracle: solve the conservation system directly.
 
@@ -128,6 +141,25 @@ class TestResolveCollision:
             rb.SigmaRho(Fraction(8), Fraction(2)),
             rb.SigmaRho(Fraction(1), Fraction(9)),
         )
+
+    @given(exact_sigma_rho_pairs())
+    @example(pair=(rb.SigmaRho(8, 2), rb.SigmaRho(1, 9)))
+    @example(pair=(rb.SigmaRho(2, 3), rb.SigmaRho(3, 2)))
+    def test_exact_data_leaves_without_floats(self, pair):
+        """Int and Fraction coordinates give an outcome with no float in
+        it; an int pair that does not swap leaves with Fractions, and one
+        that swaps keeps its ints."""
+        i, j = pair
+        try:
+            out = rb.resolve_collision(i, j)
+        except (rb.NoCollisionError, rb.DegenerateCollisionError):
+            reject()
+        a, b = out.sr_i_after, out.sr_j_after
+        values = (a.sigma, a.rho, b.sigma, b.rho, out.s, out.r)
+        assert float not in set(map(type, values))
+        if {type(v) for v in (i.sigma, i.rho, j.sigma, j.rho)} == {int}:
+            swap = i.sigma * i.rho == j.sigma * j.rho
+            assert {type(v) for v in values[:4]} == {int if swap else Fraction}
 
     def test_hand_evaluated_case(self):
         # (E=2, P=1, mu=3) vs (E=1, P=-1, mu=0): s = r = 3
