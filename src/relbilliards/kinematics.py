@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from math import isfinite
 
 from .errors import DegenerateKinematicsError, ValidationError, ZeroEnergyError
-from .numeric import REL_TOL, Number, is_exact
+from .numeric import REL_TOL, Number, format_number, is_exact
 
 
 def velocity(E: Number, P: Number) -> Number:
@@ -160,7 +160,7 @@ class ParticleState:
                 drift = (E - P) * (E + P) - mu
                 raise ValidationError(
                     f"particle {self.label}: mu != E**2 - P**2 "
-                    f"(off by {drift})"
+                    f"(off by {format_number(drift)})"
                 )
             return
         # The drift in mass_drift's order, written out; one of E, P and mu

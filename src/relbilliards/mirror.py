@@ -44,7 +44,14 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import ParticleState, massless, unchecked_constructor
-from .numeric import REL_TOL, Number, is_exact, near_zero, rel_diff
+from .numeric import (
+    REL_TOL,
+    Number,
+    is_exact,
+    near_zero,
+    rel_diff,
+    repr_number,
+)
 from .simulator import BilliardState, CollisionEvent, simulate
 
 
@@ -376,7 +383,8 @@ def reduced_trajectory(
     res = initial.E2 - e2_from_sigma(initial.sigma1, params)
     if not near_zero(res, initial.E2, initial.sigma1 / 2, params.E_total):
         raise ConfigError(
-            f"initial state violates the energy split (residual {res!r})"
+            "initial state violates the energy split "
+            f"(residual {repr_number(res)})"
         )
     two_e, mu = 2 * params.E_total, params.mu
     forward = [initial]

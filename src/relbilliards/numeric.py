@@ -134,7 +134,9 @@ def format_number(value: Number) -> str:
 
 
 def repr_number(value: Number) -> str:
-    """``repr(value)``, also for a Fraction over the digit limit."""
+    """``repr(value)``, also for an int or Fraction over the digit limit."""
+    if type(value) is int:
+        return _decimal(value)
     if isinstance(value, Fraction):
         num, den = value.as_integer_ratio()
         return f"Fraction({_decimal(num)}, {_decimal(den)})"

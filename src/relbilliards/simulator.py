@@ -10,21 +10,23 @@ the same time but different places are legal and resolved left to right
 the same time *and* place are a genuine discontinuity of the dynamics and
 raise TripleCollisionError.
 
-The scheduler only runs forward. A run of many pairs picks each event from
-a binary heap of pair meeting times, refreshes only the pairs next to a
-collision, and moves a particle only when it reads its position, through
-the same float steps that the scan takes; a run of few pairs scans all of
-them at every event and moves every position at every event. Both read
-each pair through one rule (``_flights``) and give the same events, bit
-for bit. A backward run is the forward run of the time-reversed frame: it
-negates the start time, every velocity and ``t_limit`` once, on entry
-(``_frame``). Its particles stay in the caller's frame, where time
-reversal swaps sigma and rho, so ``_resolve`` hands the swapped pair to
-the collision law and writes its events in the caller's frame, each with
-its ``pre`` and ``post`` states in time order. The collision law is
-symmetric under that reversal, so a forward run followed by a backward
-run of the same length retraces itself; in rational mode its log is the
-forward log with the batches of simultaneous events in reverse order.
+The scheduler only runs forward, and selects each event as its step, its
+time and the left indices of the pairs that meet then (``_Selection``). A
+run of many pairs picks each event from a binary heap of pair meeting
+times, refreshes only the pairs next to a collision, and moves a particle
+only when it reads its position, through the same float steps that the scan
+takes; a run of few pairs scans all of them and moves every position at
+every event. Both read each pair through one rule (``_flights``) and give
+the same events, bit for bit. A backward run is the forward run of the
+time-reversed frame: it negates the start time, every velocity and
+``t_limit`` once, on entry (``_frame``). Its particles stay in the caller's
+frame, where time reversal swaps sigma and rho, so ``_resolve`` hands the
+swapped pair to the collision law and writes its events in the caller's
+frame, each with its ``pre`` and ``post`` states in time order. The
+collision law is symmetric under that reversal, so a forward run followed
+by a backward run of the same length retraces itself; in rational mode its
+log is the forward log with the batches of simultaneous events in reverse
+order.
 
 An exact run (int or Fraction clock, positions and velocities, decided
 once per run) recomputes nothing it already holds. It carries each
@@ -33,9 +35,9 @@ frame, so that ``_resolve`` hands the carried pair to the collision law
 and keeps what the law returns, on an exchange the exchanged pair; a run
 of any other kind builds each colliding pair's sigma and rho from E and P.
 Exact meeting times bring both particles of a pair to one point, so the
-scan moves only the left one there and gives the right one its position,
-and each step is the selected flight time itself rather than the event
-time less the clock, a value equal to it. Every number is the one that
+scan moves only the left one there and ``_resolve`` writes it to both, and
+each step is the selected flight time itself rather than the event time
+less the clock, a value equal to it. Every number is the one that
 recomputing it would give, in value and type.
 """
 
@@ -59,15 +61,15 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import ParticleState, unchecked_constructor
-from .numeric import REL_TOL, Number, is_exact, near_zero
+from .numeric import REL_TOL, Number, is_exact, near_zero, repr_number
 
 Direction = Literal["forward", "backward"]
 
 Pair = tuple[int, int]
 
-#: A selection: the step to the next event time, and the pairs that meet
-#: then, each with that time.
-_Selection = tuple[Number | None, list[tuple[Pair, Number]]]
+#: A selection: the step to the next event, its time, and the ascending
+#: left indices ``i`` of the pairs ``(i, i + 1)`` that meet then.
+_Selection = tuple[Number | None, Number | None, list[int]]
 
 
 def _contact(a: Number, b: Number) -> Number:
@@ -76,7 +78,8 @@ def _contact(a: Number, b: Number) -> Number:
     gap = b - a
     if not near_zero(gap, a, b, 1):
         raise ValidationError(
-            f"positions must be nondecreasing, got {a!r} > {b!r}"
+            "positions must be nondecreasing, got "
+            f"{repr_number(a)} > {repr_number(b)}"
         )
     return gap - gap
 
@@ -179,9 +182,9 @@ def _flights(
 
 
 def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
-    """The step from time ``t`` to the earliest intersection after it, and
-    the candidates ``(idx, flight time)``, given in index order, that
-    achieve it, each with the event time; ``(None, [])`` if there are none.
+    """The step from time ``t`` to the earliest intersection after it, its
+    time, and the indices of the candidates ``(idx, flight time)``, given
+    in index order, that achieve it; ``(None, None, [])`` if there are none.
 
     The step is the shortest flight time itself where it and ``t`` are
     exact, since the event time less ``t`` equals it there; otherwise it is
@@ -194,7 +197,7 @@ def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
     some flight time is a float.
     """
     if not cands:
-        return None, []
+        return None, None, []
     dts = [dt for _, dt in cands]
     dt_min = min(dts)
     t_event = t + dt_min
@@ -205,8 +208,8 @@ def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
         step = t_event - t
     elif type(t) is float:
         step = t_event - t
-    return step, [
-        ((idx, idx + 1), t_event)
+    return step, t_event, [
+        idx
         for idx, dt in cands
         if dt == dt_min
         or (tol and dt - dt_min <= tol and not is_exact(dt - dt_min))
@@ -214,9 +217,9 @@ def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
 
 
 def _earliest(xs: list, vs: list, t: Number) -> _Selection:
-    """The step to the earliest intersection after time ``t`` and the
-    adjacent pairs achieving it, as ``_select`` gives them, from a scan of
-    every pair."""
+    """The step to the earliest intersection after time ``t``, its time and
+    the left indices of the adjacent pairs achieving it, as ``_select``
+    gives them, from a scan of every pair."""
     return _select(_flights(xs, vs), t)
 
 
@@ -245,11 +248,11 @@ class _Scan:
         self.xs, self.vs = xs, vs
         self.selection = _earliest(xs, vs, t)
 
-    def advance(self, dt: Number, found: list) -> None:
+    def advance(self, dt: Number, lefts: list) -> None:
         xs = self.xs
         xs[:] = [x + v * dt for x, v in zip(xs, self.vs)]
 
-    def after(self, t: Number, resolved: list) -> _Selection:
+    def after(self, t: Number, lefts: list) -> _Selection:
         return _earliest(self.xs, self.vs, t)
 
     def settle(self) -> None:
@@ -258,19 +261,17 @@ class _Scan:
 
 class _ExactScan(_Scan):
     """The scan of an exact run. Each pair of a selection meets at one
-    point, exactly, so only its left particle moves there and the right
-    one takes that position; every other particle moves as in ``_Scan``."""
+    point, exactly, so only its left particle moves there; ``_resolve``
+    gives the right one that position. The others move as in ``_Scan``."""
 
     exact = True
 
-    def advance(self, dt: Number, found: list) -> None:
+    def advance(self, dt: Number, lefts: list) -> None:
         xs = self.xs
-        met = {i + 1 for (i, _), _ in found}
+        met = {i + 1 for i in lefts}
         for k, v in enumerate(self.vs):
             if k not in met:
                 xs[k] = xs[k] + v * dt
-        for (i, j), _ in found:
-            xs[j] = xs[i]
 
 
 class _PairQueue:
@@ -279,9 +280,9 @@ class _PairQueue:
     Comput. Phys. 94, 1991).
 
     After an event only the pairs next to a resolved pair are refreshed
-    (``gap/w`` from the current positions). Every candidate of a selection
-    joins the heap when the selection is made, keyed by ``t + dt``; an
-    entry is live while it is its pair's entry in ``live``. The pairs that
+    (``gap/w`` from the current positions). Every candidate ``(idx, dt)``
+    of a selection joins the heap as ``(t + dt, idx)`` when the selection
+    is made; an entry is live while it is its pair's entry in ``live``. The pairs that
     the next event touches lose their entries there, and a stale entry is
     dropped when it is popped. A selection pops every entry keyed within a
     slack of the earliest key or fresh time, recomputes ``gap/w`` for the
@@ -343,16 +344,17 @@ class _PairQueue:
 
     def _push(self, cands: list, t: Number) -> None:
         """Push each candidate ``(idx, dt)`` of the selection at time ``t``
-        as its pair's live entry ``(t + dt, idx, w)``, with ``w`` the
-        pair's closing speed."""
+        as its pair's live entry ``(t + dt, idx)``; in float mode, lower
+        ``w_min`` to the pair's closing speed."""
         vs, live, heap, exact = self.vs, self.live, self.heap, self.exact
         w_min = self.w_min
         for idx, dt in cands:
-            w = vs[idx] - vs[idx + 1]
-            live[idx] = entry = (t + dt, idx, w)
+            live[idx] = entry = (t + dt, idx)
             heapq.heappush(heap, entry)
-            if not exact and w < w_min:
-                w_min = w
+            if not exact:
+                w = vs[idx] - vs[idx + 1]
+                if w < w_min:
+                    w_min = w
         self.w_min = w_min
 
     def _take_steps(self, pairs) -> None:
@@ -369,13 +371,12 @@ class _PairQueue:
                     xs[i] = x
                     taken[i] = k
 
-    def advance(self, dt: Number, found: list) -> None:
-        """Move the run by ``dt``: the particles of the pairs ``found``
+    def advance(self, dt: Number, lefts: list) -> None:
+        """Move the run by ``dt``: the particles of the pairs at ``lefts``
         now, the others when they are read."""
         self.steps.append(dt)
         if len(self.steps) < len(self.taken):
-            for (i, _), _ in found:
-                self._take_steps((i,))
+            self._take_steps(lefts)
         else:
             self.settle()
 
@@ -385,21 +386,22 @@ class _PairQueue:
         self.steps.clear()
         self.taken = [0] * len(self.taken)
 
-    def after(self, t: Number, resolved: list) -> _Selection:
-        """The selection after the collisions ``resolved`` at time ``t``."""
+    def after(self, t: Number, lefts: list) -> _Selection:
+        """The selection after the collisions of the pairs at ``lefts`` at
+        time ``t``."""
         xs, vs, exact = self.xs, self.vs, self.exact
         live, heap, inverted = self.live, self.heap, self.inverted
         last = len(live) - 1
-        touched = []  # ascending, as the resolved pairs are
-        for (i, _), _ in resolved:
+        touched = []  # ascending, as the lefts are
+        for i in lefts:
             for idx in (i - 1, i, i + 1):
                 if 0 <= idx <= last and idx not in touched:
                     touched.append(idx)
                     live[idx] = None
         if not exact:
             self.moves += 1
-            for (i, j), _ in resolved:
-                self.vmax = max(self.vmax, abs(vs[i]), abs(vs[j]))
+            for i in lefts:
+                self.vmax = max(self.vmax, abs(vs[i]), abs(vs[i + 1]))
 
         # Refresh the touched pairs and recheck the inverted ones, which do
         # not close; ``_flights`` adds back those still inverted.
@@ -426,9 +428,6 @@ class _PairQueue:
                     live[entry[1]] = None
                     popped.append(entry[1])
             if popped:
-                # A live entry's w is still its pair's closing speed, bit
-                # for bit: velocities change only at a collision, which
-                # drops it.
                 self._take_steps(popped)
                 cands += _flights(xs, vs, pairs=popped)
                 cands.sort()
@@ -462,11 +461,11 @@ class _PairQueue:
 
 def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
     """The scheduler of a run from ``xs``, ``vs`` at time ``t``: whether the
-    run is ``exact``; its first ``selection``, ``(dt, found)``;
-    ``advance(dt, found)``, which moves the run by the step ``dt`` to the
-    event ``found`` (or to a time limit, with ``found`` empty);
-    ``after(t, resolved)``, which makes the next selection after the
-    collisions ``resolved`` at time ``t``; and ``settle()``, which brings
+    run is ``exact``; its first ``selection``, ``(dt, t_event, lefts)``;
+    ``advance(dt, lefts)``, which moves the run by the step ``dt`` to the
+    collisions of the pairs at ``lefts`` (or to a time limit, with
+    ``lefts`` empty); ``after(t, lefts)``, which makes the next selection
+    after those collisions at time ``t``; and ``settle()``, which brings
     every position up to date. It updates ``xs`` in place.
 
     A run is exact when its clock, positions and velocities are all int or
@@ -499,10 +498,10 @@ def next_collisions(
     ``simulate``.
     """
     back, t, _, xs, vs = _frame(state, direction)
-    _, found = _earliest(xs, vs, t)
-    if found:
-        _finite(found[0][1], "event time")
-    return [(pair, -t if back else t) for pair, t in found]
+    _, t_event, lefts = _earliest(xs, vs, t)
+    if lefts:
+        _finite(t_event, "event time")
+    return [((i, i + 1), -t_event if back else t_event) for i in lefts]
 
 
 def _finite(value: Number, what: str) -> None:
@@ -512,8 +511,9 @@ def _finite(value: Number, what: str) -> None:
         raise SimulationError(f"{what} is not finite: {value!r}")
 
 
-def _check_disjoint(selected: list[Pair]) -> None:
-    """Reject simultaneous events that share a particle.
+def _check_disjoint(lefts: list[int]) -> None:
+    """Reject simultaneous events, at the ascending left indices ``lefts``,
+    that share a particle: two lefts one apart.
 
     Disjoint pairs commute, so several collisions at one time but
     different places are fine no matter how close those places are. A
@@ -521,14 +521,12 @@ def _check_disjoint(selected: list[Pair]) -> None:
     resolution order (three or more particles meeting at one point always
     shows up this way, since the inner pair ties too).
     """
-    used: set[int] = set()
-    for i, j in selected:
-        if i in used or j in used:
+    for a, b in zip(lefts, lefts[1:]):
+        if b - a == 1:
             raise TripleCollisionError(
                 f"triple collision: particle shared between simultaneous "
-                f"events at pairs {selected}"
+                f"events at pairs {[(i, i + 1) for i in lefts]}"
             )
-        used.update((i, j))
 
 
 def _resolve(
@@ -536,28 +534,28 @@ def _resolve(
     xs: list,
     vs: list,
     t: Number,
-    found: list,
+    lefts: list,
     back: bool,
     lc: list | None,
 ) -> list[CollisionEvent]:
-    """Resolve the collisions ``found`` at time ``t``, where the particles
-    ``ps`` sit at ``xs``; update ``ps``, ``xs``, ``vs`` and ``lc`` for the
-    colliding pairs and return their events.
+    """Resolve the collisions of the pairs ``(i, i + 1)``, ``i`` in the
+    ascending ``lefts``, at time ``t``, where the particles ``ps`` sit at
+    ``xs``; update ``ps``, ``xs``, ``vs`` and ``lc`` for those pairs and
+    return their events.
 
     ``t`` and ``vs`` are in the frame where the run goes forward, which is
     time-reversed if ``back``; ``ps`` and the events are in the caller's.
     In an exact run ``lc`` holds each particle's (sigma, rho) in the run's
-    frame, and both particles of a pair sit at its meeting point; in any
-    other run it is None, and each pair's coordinates are built from its
-    particles.
+    frame, and each pair's left particle sits at its meeting point, which
+    is written to both; in any other run it is None, and each pair's
+    coordinates are built from its particles.
     """
-    selected = [pair for pair, _ in found]
-    if len(selected) > 1:  # one pair shares no particle
-        _check_disjoint(selected)
+    _check_disjoint(lefts)
 
     t_event = -t if back else t
     events = []
-    for i, j in selected:  # left-to-right; pairs are disjoint
+    for i in lefts:  # left-to-right; pairs are disjoint
+        j = i + 1
         p, q = ps[i], ps[j]
         if lc is None:
             a, b = xs[i], xs[j]
@@ -679,19 +677,19 @@ def simulate(
             (p.E - p.P, p.E + p.P) if back else (p.E + p.P, p.E - p.P)
             for p in ps
         ]
-    dt, found = run.selection
+    dt, t_event, lefts = run.selection
     while max_events is None or len(log) < max_events:
-        if not found or (t_limit is not None and found[0][1] >= t_limit):
+        if not lefts or (t_limit is not None and t_event >= t_limit):
             if t_limit is not None:
                 run.advance(t_limit - t, [])
                 t = t_limit
             break
-        run.advance(dt, found)
-        t = found[0][1]
+        run.advance(dt, lefts)
+        t = t_event
         try:
             _finite(t, "event time")
-            events = _resolve(ps, xs, vs, t, found, back, lc)
-            dt, found = run.after(t, found)
+            events = _resolve(ps, xs, vs, t, lefts, back, lc)
+            dt, t_event, lefts = run.after(t, lefts)
         except ValueError as exc:  # bad positions or particle data
             raise SimulationError(
                 f"{exc} (at event index {len(log)})"

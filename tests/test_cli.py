@@ -15,6 +15,7 @@ import relbilliards as rb
 from relbilliards import cli, serialize
 from relbilliards.cli import build_parser, main
 from relbilliards.config import initial_state, parse_config
+from relbilliards.numeric import format_number
 from relbilliards.render import render_spacetime, worldlines
 from relbilliards.serialize import events_from_csv, events_to_csv
 from test_golden_gas import _fraction_gas
@@ -1494,6 +1495,27 @@ class TestLogParticleData:
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "spacetime.svg").exists()
+
+    def test_line_named_over_the_digit_limit(self, tmp_path, capsys):
+        """An energy of 5,001 digits that breaks mu = E**2 - P**2: the
+        drift is too long for ``str``, and the error still names its
+        line."""
+        E = 10**5000
+        path = self._log(tmp_path, "rational", E_i_pre="1" + "0" * 5000)
+        with open(path) as handle:
+            text = handle.read()
+        row = list(csv.DictReader(text.splitlines()[1:]))[1]  # line 4
+        P, mu = Fraction(row["P_i_pre"]), Fraction(row["mu_i"])
+        message = (
+            "line 4: particle 0: mu != E**2 - P**2 "
+            f"(off by {format_number((E - P) * (E + P) - mu)})"
+        )
+        with pytest.raises(rb.ConfigError) as info:
+            events_from_csv(text)
+        assert str(info.value) == message
+        rc = main(["render", "--log", path, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 #: The numeric columns of an event row, and its four (E, P, mu) triples.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from conftest import any_particle, bradyon_states, finite_floats, nonzero_floats
+from relbilliards.numeric import format_number
 from relbilliards.serialize import events_from_csv, events_to_csv
 
 
@@ -295,6 +296,17 @@ class TestExactValidation:
             assert str(info.value) == (
                 f"particle 2: mu != E**2 - P**2 (off by {drift})"
             )
+
+    def test_drift_over_the_digit_limit(self):
+        """A drift too long for ``str`` is written by the number codec: the
+        ValidationError is built, and no bare ValueError escapes."""
+        E, P = Fraction(10**5000 + 1, 3), Fraction(1, 7)
+        with pytest.raises(rb.ValidationError) as info:
+            rb.ParticleState(E, P, 1, 0)
+        drift = (E - P) * (E + P) - 1
+        assert str(info.value) == (
+            f"particle 0: mu != E**2 - P**2 (off by {format_number(drift)})"
+        )
 
     def test_wide_data_builds_no_fraction(self, monkeypatch):
         """Valid data of about 1000 bits, checked fresh and evolved,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import relbilliards as rb
 from relbilliards import mirror
+from relbilliards.numeric import repr_number
 from conftest import finite_floats, nonzero_floats, relative_error
 
 
@@ -749,6 +750,20 @@ class TestLogWalk:
 
 class TestRefusals:
     """Each refusal of the reduced system is a named error."""
+
+    def test_residual_over_the_digit_limit(self):
+        """A residual too long for ``repr`` is written by the number codec:
+        the ConfigError is built, and no bare ValueError escapes."""
+        F = Fraction
+        params, s0 = rb.mirror_initial(F(5, 4), F(1), F(1, 3), F(-1), t0=F(0))
+        off = 1 / F(10**5000 + 1, 3)
+        bad = rb.MirrorState(s0.n, s0.sigma1, s0.E2 + off, s0.x1, s0.t)
+        with pytest.raises(rb.ConfigError) as info:
+            rb.reduced_trajectory(params, bad, 1)
+        assert str(info.value) == (
+            "initial state violates the energy split "
+            f"(residual {repr_number(off)})"
+        )
 
     @pytest.mark.parametrize("num", [float, Fraction])
     def test_sigma1_zero(self, num):

@@ -120,6 +120,11 @@ class TestRoundTrip:
         num = format_number(Fraction(big.numerator))
         assert text == f"Fraction({num}, 2)"
 
+    def test_repr_number_of_an_int(self):
+        assert repr_number(-7) == "-7"
+        n = 3**9100
+        assert repr_number(n) == format_number(n)
+
 
 class TestRejections:
     @pytest.mark.parametrize(

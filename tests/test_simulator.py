@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import relbilliards as rb
 from conftest import any_particle, bradyon_gas, relative_error
 from relbilliards import mirror, simulator
+from relbilliards.numeric import repr_number
 from relbilliards.serialize import events_to_csv
 from test_golden_gas import _fraction_gas
 
@@ -204,6 +205,41 @@ class TestSimulate:
         with pytest.raises(rb.TripleCollisionError, match="event index 0"):
             rb.simulate(s, max_events=5)
 
+    @pytest.mark.parametrize("num", [float, Fraction])
+    @pytest.mark.parametrize("heap_min_pairs", [simulator._HEAP_MIN_PAIRS, 1])
+    @pytest.mark.parametrize(
+        "pair, pairs",
+        [
+            (None, "[(0, 1), (1, 2)]"),
+            ("right", "[(0, 1), (1, 2), (3, 4)]"),
+            ("left", "[(0, 1), (2, 3), (3, 4)]"),
+        ],
+    )
+    def test_triple_collision_message(self, num, heap_min_pairs, pair, pairs):
+        """Three particles meet at x = 0 at t = 2, and a disjoint pair, if
+        any, at x = 4 or x = -4: the error lists every pair found then, on
+        the scan and on the heap."""
+        half = num(1) / 2
+        triple = [(2, half, -1), (1, 0, 0), (2, -half, 1)]
+        if pair == "right":
+            triple += [(2, half, 3), (2, -half, 5)]
+        elif pair == "left":
+            triple[:0] = [(2, half, -5), (2, -half, -3)]
+        s = rb.BilliardState(
+            tuple(
+                _at(num(E), v, num(x), k) for k, (E, v, x) in enumerate(triple)
+            ),
+            num(0),
+        )
+        message = (
+            "triple collision: particle shared between simultaneous events "
+            f"at pairs {pairs} (at event index 0)"
+        )
+        with patch.object(simulator, "_HEAP_MIN_PAIRS", heap_min_pairs):
+            with pytest.raises(rb.TripleCollisionError) as info:
+                rb.simulate(s, max_events=5)
+        assert str(info.value) == message
+
     def test_degenerate_collision_surfaces(self):
         # s = sigma_i + sigma_j = 0 with distinct masses: zero rest mass
         p1 = rb.ParticleState(1.0, 0.0, 1.0, 0.0, 0)  # sigma = 1, rho = 1
@@ -380,6 +416,22 @@ class TestStepMatchesSimulate:
             )
             assert any(a.t == b.t for a, b in zip(log, log[1:]))
             state = whole[0]
+
+    def test_float_clock_on_exact_data(self):
+        """Fraction particles on a float clock: the first step is the event
+        time less the clock, a float, so the positions turn float while E
+        and P stay Fractions; ``simulate`` gives what chained steps give."""
+        s0 = rb.BilliardState(_fraction_gas(0, 6).particles, 0.0)
+        state, events = s0, []
+        while len(events) < 8:
+            state, batch = rb.step(state)
+            events.extend(batch)
+        assert rb.simulate(s0, max_events=len(events)) == (state, events)
+        assert type(state.t) is float
+        assert {type(p.x) for p in state.particles} == {float}
+        assert {type(v) for p in state.particles for v in (p.E, p.P)} == {
+            Fraction
+        }
 
     @settings(max_examples=150, deadline=None)
     @given(runs())
@@ -723,7 +775,7 @@ class TestValidationErrors:
 
         def misplacing(ps, xs, vs, t, found, *args):
             events = resolve(ps, xs, vs, t, found, *args)
-            (i, j), _ = found[0]
+            i, j = found[0], found[0] + 1
             xs[i] = xs[j] + 1.0
             return events
 
@@ -1012,6 +1064,29 @@ class TestBilliardState:
                 ),
                 0.0,
             )
+
+    def test_particles_as_a_list(self):
+        particles = _fraction_gas(3, 5).particles
+        state = rb.BilliardState(list(particles), Fraction(1, 2))
+        assert state == rb.BilliardState(particles, Fraction(1, 2))
+        assert type(state.particles) is tuple
+
+    @pytest.mark.parametrize(
+        "x", [Fraction(10**5000 + 1, 3), 10**5000], ids=["Fraction", "int"]
+    )
+    def test_order_error_over_the_digit_limit(self, x):
+        """Positions too long for ``repr`` are written by the number codec:
+        the ValidationError is built, and no bare ValueError escapes."""
+        ps = (
+            rb.ParticleState(Fraction(1), Fraction(0), 1, x, 0),
+            rb.ParticleState(Fraction(1), Fraction(0), 1, x - 1, 1),
+        )
+        with pytest.raises(rb.ValidationError) as info:
+            rb.BilliardState(ps)
+        assert str(info.value) == (
+            "positions must be nondecreasing, got "
+            f"{repr_number(x)} > {repr_number(x - 1)}"
+        )
 
     def test_tachyons_accepted(self):
         s = _two_body(-1.0, 2.0, -3.0, 1.0, -2.0, -3.0)
