@@ -10,6 +10,7 @@ cross-check tolerance failure; an error exits with its class's
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -318,10 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused: parsing
+    leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (BilliardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

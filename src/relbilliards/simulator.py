@@ -6,8 +6,11 @@ there, and resolves each colliding pair elastically. A run keeps positions
 and velocities as plain numbers and builds ``ParticleState`` objects only
 for the colliding pairs and the returned state. Several collisions at
 the same time but different places are legal and resolved left to right
-(the pairs are disjoint, so the order does not matter); two collisions at
-the same time *and* place are a genuine discontinuity of the dynamics and
+(the pairs are disjoint, so the order does not matter); a pair that is
+the mirror image (x -> -x) of the pair that parity maps it to, resolved
+before it at that time, as in a parity-symmetric state, takes that pair's
+outcome reflected rather than resolving it again. Two collisions at the
+same time *and* place are a genuine discontinuity of the dynamics and
 raise TripleCollisionError.
 
 The scheduler only runs forward, and selects each event as its step, its
@@ -529,6 +532,36 @@ def _check_disjoint(lefts: list[int]) -> None:
             )
 
 
+def _reflected(
+    s_i: Number, r_i: Number, s_j: Number, r_j: Number,
+    image_inputs: tuple, outcome: tuple,
+) -> tuple | None:
+    """The outcome of ``collide`` on ``(s_i, r_i, s_j, r_j)``, read off a
+    resolved pair's ``image_inputs`` and ``outcome`` if those inputs are
+    their mirror image; else None.
+
+    Parity takes each (sigma, rho) to (rho, sigma) and swaps a pair's
+    particles. On inputs equal, in value and type, to ``image_inputs`` so
+    reflected, ``collide`` returns ``outcome`` reflected, the sign flips
+    swapped, or on a swap the pair's own inputs exchanged: in exact
+    arithmetic by value, in floats by the same operations up to the order
+    of each sum's and product's operands. The sign of a float zero, which
+    the equality ignores, shows in no E, P, velocity or flag built from the
+    outcome.
+    """
+    a_i, b_i, a_j, b_j = image_inputs
+    if not (
+        s_i == b_j and r_i == a_j and s_j == b_i and r_j == a_i
+        and type(s_i) is type(b_j) and type(r_i) is type(a_j)
+        and type(s_j) is type(b_i) and type(r_j) is type(a_i)
+    ):
+        return None
+    sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = outcome
+    if sigma_i is a_j and rho_i is b_j:  # collide's swap
+        return s_j, r_j, s_i, r_i, tachyonic, flip_j, flip_i
+    return rho_j, sigma_j, rho_i, sigma_i, tachyonic, flip_j, flip_i
+
+
 def _resolve(
     ps: list,
     xs: list,
@@ -549,11 +582,22 @@ def _resolve(
     frame, and each pair's left particle sits at its meeting point, which
     is written to both; in any other run it is None, and each pair's
     coordinates are built from its particles.
+
+    A pair that is the mirror image of the pair that parity maps it to,
+    resolved before it in the batch, takes that pair's outcome reflected
+    (``_reflected``), and in an exact run its partner's E with P and v
+    negated: a Fraction has no signed zero, so these are the values that
+    recomputing gives. A float run recomputes E, P and v, so a particle
+    left at rest keeps P = 0.0.
     """
     _check_disjoint(lefts)
 
     t_event = -t if back else t
     events = []
+    # In a batch of several pairs, each resolved pair's inputs and outcome,
+    # by left index. Parity maps pair (i, i + 1) to pair (k, k + 1), where
+    # k = len(ps) - 2 - i.
+    resolved = {} if len(lefts) > 1 else None
     for i in lefts:  # left-to-right; pairs are disjoint
         j = i + 1
         p, q = ps[i], ps[j]
@@ -570,9 +614,17 @@ def _resolve(
         else:  # exact: one meeting point, and the carried coordinates
             x_e = xs[i]
             (s_i, r_i), (s_j, r_j) = lc[i], lc[j]
-        sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = collide(
-            s_i, r_i, s_j, r_j
-        )
+        image = None
+        if resolved is None:
+            outcome = collide(s_i, r_i, s_j, r_j)
+        else:
+            image = resolved.get(len(ps) - 2 - i)
+            outcome = image and _reflected(s_i, r_i, s_j, r_j, *image)
+            if not outcome:
+                image = None
+                outcome = collide(s_i, r_i, s_j, r_j)
+            resolved[i] = (s_i, r_i, s_j, r_j), outcome
+        sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = outcome
         if (
             sigma_i is s_j and rho_i is r_j  # collide's swap
             and type(p.E) is Fraction and type(p.P) is Fraction
@@ -584,6 +636,18 @@ def _resolve(
             post_i = ParticleState._unchecked(q.E, q.P, p.mu, x_e, p.label)
             post_j = ParticleState._unchecked(p.E, p.P, q.mu, x_e, q.label)
             v_i, v_j = vs[j], vs[i]
+        elif image and lc is not None:
+            # The exact mirror image of a pair that separated: each particle
+            # leaves as its image's partner did, reflected.
+            k = len(ps) - 2 - i
+            image_i, image_j = ps[k], ps[k + 1]
+            post_i = ParticleState._evolved(
+                image_j.E, -image_j.P, p.mu, x_e, p.label
+            )
+            post_j = ParticleState._evolved(
+                image_i.E, -image_i.P, q.mu, x_e, q.label
+            )
+            v_i, v_j = -vs[k + 1], -vs[k]
         else:
             # E = (sigma + rho)/2 and P = (sigma - rho)/2 in the run's
             # frame, P negated in the caller's; each mu carried over

@@ -2,8 +2,10 @@
 
 import csv
 import math
+import os
 import re
 import stat
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -1114,6 +1116,43 @@ class TestExitCodes:
         assert cls.exit_code == expected
         assert main(["estimate", "--mass", "1"]) == expected
         assert capsys.readouterr() == ("", "error: boom\n")
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of the console script run on ``argv`` in a new
+    Python process, which imports the package that this one imported."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    script = "import sys; from relbilliards.cli import entrypoint; entrypoint()"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    return done.returncode, done.stdout
+
+
+class TestParserReuse:
+    def test_reused_parser_behaves_as_a_fresh_one(self, capsys):
+        """``main`` builds its parser once per process. A usage error, an
+        error exit and a run, one after another in this process, exit and
+        print as each does in a new process."""
+        runs = [
+            ["period", "--mu", "4"],  # usage: missing required options
+            ["tachyon-scan", "--mu", "1", "--e-total", "1",
+             "--sigma1", "0.5", "--steps", "10"],
+            ["period", "--mu", "4", "--e-total", "1", "--sigma1", "1",
+             "--x1", "-1"],
+        ]
+        seen = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, capsys.readouterr().out))
+        assert [code for code, _ in seen] == [1, 2, 0]
+        assert seen == [_fresh_process(argv) for argv in runs]
+        assert cli._parser() is cli._parser()
 
 
 class TestWriteAtomic:
