@@ -31,17 +31,18 @@ by a backward run of the same length retraces itself; in rational mode its
 log is the forward log with the batches of simultaneous events in reverse
 order.
 
-An exact run (int or Fraction clock, positions and velocities, decided
-once per run) recomputes nothing it already holds. It carries each
-particle's (sigma, rho) next to its position and velocity, in the run's
-frame, so that ``_resolve`` hands the carried pair to the collision law
-and keeps what the law returns, on an exchange the exchanged pair; a run
-of any other kind builds each colliding pair's sigma and rho from E and P.
-Exact meeting times bring both particles of a pair to one point, so the
-scan moves only the left one there and ``_resolve`` writes it to both, and
-each step is the selected flight time itself rather than the event time
-less the clock, a value equal to it. Every number is the one that
-recomputing it would give, in value and type.
+An exact run (int or Fraction clock, positions and velocities, decided once
+per run) recomputes nothing it already holds. It carries each particle's
+(sigma, rho) next to its position and velocity, in the run's frame, so that
+``_resolve`` hands the carried pair to the collision law and keeps what the
+law returns, on an exchange the exchanged pair; a run of any other kind
+builds each colliding pair's sigma and rho from E and P. Exact meeting
+times bring both particles of a pair to one point, so the scan moves only
+the left one there and ``_resolve`` writes it to both, and each step is the
+selected flight time itself rather than the event time less the clock, a
+value equal to it. A scan run from a parity-symmetric start computes the
+left half of the line and negates it into the right (``_scheduler``). Every
+number is the one that recomputing it would give, in value and type.
 """
 
 from __future__ import annotations
@@ -245,11 +246,9 @@ class _Scan:
     """Event selection by a scan of every pair (``_earliest``) at every
     event. The scan reads every position, so each step moves them all."""
 
-    exact = False
-
     def __init__(self, xs: list, vs: list, t: Number) -> None:
         self.xs, self.vs = xs, vs
-        self.selection = _earliest(xs, vs, t)
+        self.selection = self.after(t, [])
 
     def advance(self, dt: Number, lefts: list) -> None:
         xs = self.xs
@@ -267,14 +266,44 @@ class _ExactScan(_Scan):
     point, exactly, so only its left particle moves there; ``_resolve``
     gives the right one that position. The others move as in ``_Scan``."""
 
-    exact = True
-
     def advance(self, dt: Number, lefts: list) -> None:
         xs = self.xs
         met = {i + 1 for i in lefts}
         for k, v in enumerate(self.vs):
             if k not in met:
                 xs[k] = xs[k] + v * dt
+
+
+class _MirrorScan(_ExactScan):
+    """The scan of an exact parity-symmetric run (``_scheduler``): it moves
+    and reads particles ``0 ... ceil(n/2) - 1``, and gives each pair ``i``
+    it finds its image ``n - 2 - i`` at the same flight time. A right-half
+    position is its image's negated, written only where it is read: a
+    mirrored pair's left, the middle pair's right (even n), ``settle``."""
+
+    def advance(self, dt: Number, lefts: list) -> None:
+        xs, vs, n = self.xs, self.vs, len(self.xs)
+        half = (n + 1) // 2
+        met = {i + 1 for i in lefts}
+        for k in range(half):
+            if k not in met:
+                xs[k] = xs[k] + vs[k] * dt
+        if not n % 2:
+            xs[half] = -xs[half - 1]
+        for i in lefts:  # the image pair's left particle is at the meeting
+            if i >= half:
+                xs[i] = -xs[n - 2 - i]
+
+    def after(self, t: Number, lefts: list) -> _Selection:
+        n = len(self.xs)
+        cands = _flights(self.xs, self.vs, pairs=range(n // 2))
+        cands += [(n - 2 - i, dt) for i, dt in cands[::-1] if 2 * i + 2 != n]
+        return _select(cands, t)
+
+    def settle(self) -> None:
+        xs = self.xs
+        for k in range((len(xs) + 1) // 2, len(xs)):
+            xs[k] = -xs[~k]
 
 
 class _PairQueue:
@@ -462,24 +491,30 @@ class _PairQueue:
         )
 
 
-def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
-    """The scheduler of a run from ``xs``, ``vs`` at time ``t``: whether the
-    run is ``exact``; its first ``selection``, ``(dt, t_event, lefts)``;
+def _scheduler(
+    ps: list, xs: list, vs: list, t: Number, max_events: int | None,
+    lc: list | None,
+):
+    """The scheduler of a run of the particles ``ps`` from ``xs``, ``vs``
+    at time ``t``, with carried (sigma, rho) ``lc`` if the run is exact,
+    else None: its first ``selection``, ``(dt, t_event, lefts)``;
     ``advance(dt, lefts)``, which moves the run by the step ``dt`` to the
     collisions of the pairs at ``lefts`` (or to a time limit, with
     ``lefts`` empty); ``after(t, lefts)``, which makes the next selection
     after those collisions at time ``t``; and ``settle()``, which brings
     every position up to date. It updates ``xs`` in place.
 
-    A run is exact when its clock, positions and velocities are all int or
-    Fraction, which is decided here, once per run, and for a float run at
-    its first float. The heap serves runs of at least ``_HEAP_MIN_PAIRS``
-    pairs that are all float or all exact and may take more than one event
-    (building it costs about one scan); the others scan every pair at
-    every event. The heap costs 10% more on four float particles, half on
-    Fraction gases.
+    The heap serves runs of at least ``_HEAP_MIN_PAIRS`` pairs that are
+    all float or all exact and may take more than one event (building it
+    costs about one scan); the others scan every pair at every event. The
+    heap costs 10% more on four float particles, half on Fraction gases.
+    An exact scan run whose start is parity-symmetric, each particle ``k``
+    the image of ``~k`` = ``n - 1 - k`` (x and v negated, sigma and rho
+    exchanged, the same mu, in value and type), stays so, and computes one
+    half of the line (``_MirrorScan``). Floats recompute both halves: a
+    negated float zero is -0.0, where recomputing gives 0.0.
     """
-    exact = is_exact(t) and all(map(is_exact, vs)) and all(map(is_exact, xs))
+    exact = lc is not None
     if len(xs) > _HEAP_MIN_PAIRS and (max_events is None or max_events > 1):
         if exact:
             return _PairQueue(xs, vs, t, exact=True)
@@ -487,6 +522,15 @@ def _scheduler(xs: list, vs: list, t: Number, max_events: int | None):
             type(t) is float or type(t) is int and abs(t) <= 2**53
         ):
             return _PairQueue(xs, vs, t, exact=False)
+    if exact and len(xs) > 1 and all(
+        a == b and type(a) is type(b)
+        for k in range((len(xs) + 1) // 2)
+        for a, b in zip(
+            (xs[k], vs[k], *lc[k], ps[k].mu),
+            (-xs[~k], -vs[~k], *lc[~k][::-1], ps[~k].mu),
+        )
+    ):
+        return _MirrorScan(xs, vs, t)
     return _ExactScan(xs, vs, t) if exact else _Scan(xs, vs, t)
 
 
@@ -732,15 +776,16 @@ def simulate(
             )
 
     log: list[CollisionEvent] = []
-    run = _scheduler(xs, vs, t, max_events)
-    # An exact run carries each particle's (sigma, rho) = (E + P, E - P)
+    # An exact run (int or Fraction clock, positions and velocities, decided
+    # once per run) carries each particle's (sigma, rho) = (E + P, E - P)
     # in the run's frame, where time reversal swaps the two.
     lc = None
-    if run.exact:
+    if is_exact(t) and all(map(is_exact, vs)) and all(map(is_exact, xs)):
         lc = [
             (p.E - p.P, p.E + p.P) if back else (p.E + p.P, p.E - p.P)
             for p in ps
         ]
+    run = _scheduler(ps, xs, vs, t, max_events, lc)
     dt, t_event, lefts = run.selection
     while max_events is None or len(log) < max_events:
         if not lefts or (t_limit is not None and t_event >= t_limit):

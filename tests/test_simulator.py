@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
@@ -559,9 +560,11 @@ class TestObjectCost:
         arithmetic operators, which our code makes and which do not depend
         on the Python version: the mu=5/4 mirror system over 300 events in
         calls of 30, and its retrace to the start in calls of 30, makes
-        8,178 such calls, measured on Python 3.11. It calls ``collide``
-        400 times: 200 of its 600 pair collisions are the mirror images of
-        pairs resolved before them at the same time, which they reflect."""
+        6,741 such calls, measured on Python 3.11: its start is
+        parity-symmetric, so each call moves and scans only the left half
+        and reflects the right. It calls ``collide`` 400 times: 200 of its
+        600 pair collisions are the mirror images of pairs resolved before
+        them at the same time, which they reflect."""
         start = _exact_mirror()
         calls = 0
         for name in (
@@ -586,7 +589,7 @@ class TestObjectCost:
         monkeypatch.undo()
         assert events == 300
         assert state == start
-        assert calls <= 8_178
+        assert calls <= 6_741
         assert len(collides) <= 400
 
     def test_no_collision_records_in_float_loop(self, monkeypatch):
@@ -748,6 +751,194 @@ class TestMirrorReflection:
                 assert post[2:] == [(E, -P) for E, P in post[1::-1]]
             kinds = {type(v) for p in state.particles[2:] for v in (p.E, p.P)}
             assert kinds == {type(right[0][0])}
+
+
+def _symmetric_start(seed: int) -> rb.BilliardState:
+    """A seeded parity-symmetric exact state of ``2 + seed % 8`` particles:
+    a left half of bradyons, massless particles and tachyons of either
+    energy sign, its mirror image (P and x negated) on the right, and for
+    an odd count a resting particle at 0 between them. Its data is int,
+    Fraction, or int or Fraction by mirrored pair."""
+    rng = random.Random(seed)
+    n = 2 + seed % 8
+    kind = ("int", "fraction", "mixed")[seed // 8 % 3]
+
+    def number(num, top):
+        if num is int:
+            return rng.randint(1, top)
+        return Fraction(rng.randint(1, 4 * top), rng.randint(1, 4))
+
+    left, x = [], 0
+    for _ in range(n // 2):
+        num = {"int": int, "fraction": Fraction}.get(
+            kind, rng.choice((int, Fraction))
+        )
+        x -= number(num, 3)
+        E = number(num, 4)
+        species = rng.choice(("bradyon", "massless", "tachyon"))
+        if species == "massless":
+            P = E
+        elif species == "tachyon":
+            P = E + number(num, 2)
+        else:
+            P = E * rng.randint(0, 3) // 4 if num is int else E * Fraction(
+                rng.randint(0, 7), 8
+            )
+        E, P = rng.choice((E, -E)), rng.choice((P, -P))
+        left.insert(0, (E, P, x))
+    middle = []
+    if n % 2:
+        num = int if kind == "int" else Fraction
+        E = rng.choice((1, -1)) * number(num, 4)
+        middle = [(E, 0 * E, 0 * E)]
+    right = [(E, -P, -x) for E, P, x in reversed(left)]
+    start = _from_halves(left + middle, right)
+    num = Fraction if kind == "fraction" else int
+    return rb.BilliardState(start.particles, num(rng.randint(-2, 2)))
+
+
+def _typed_outcome(run):
+    """``_outcome`` of ``run`` with each number in it and its type."""
+    return [(type(v), v) for v in _numbers(_outcome(run))]
+
+
+def _choosing(monkeypatch) -> list:
+    """Record the class of each scheduler that ``simulate`` builds."""
+    chosen = []
+    scheduler = simulator._scheduler
+
+    def spy(*args):
+        run = scheduler(*args)
+        chosen.append(type(run).__name__)
+        return run
+
+    monkeypatch.setattr(simulator, "_scheduler", spy)
+    return chosen
+
+
+class TestMirrorScan:
+    """An exact scan run from a parity-symmetric start computes the left
+    half and reflects the right: it gives the full scan's state and log,
+    or its error, equal in value and type."""
+
+    @staticmethod
+    def _runs(start: rb.BilliardState, rng: random.Random) -> list:
+        """Forward, backward, retraced, cut by ``t_limit`` either way at
+        an event time or halfway to it, and as one ``step``."""
+        m = rng.randint(3, 10)
+        runs = [
+            lambda: rb.simulate(start, max_events=m),
+            lambda: rb.simulate(start, "backward", max_events=m),
+            lambda: rb.step(start),
+        ]
+        for direction in "forward", "backward":
+            back = "backward" if direction == "forward" else "forward"
+            try:
+                end, log = rb.simulate(start, direction, max_events=m)
+            except rb.BilliardError:
+                continue
+            if log:
+                runs.append(lambda end=end, back=back: rb.simulate(
+                    end, back, t_limit=start.t
+                ))
+                t_cut = rng.choice(log).t
+                if rng.random() < 0.5:
+                    t_cut = (start.t + t_cut) / 2
+            else:
+                t_cut = start.t + (1 if direction == "forward" else -1)
+            runs.append(lambda direction=direction, t_cut=t_cut: rb.simulate(
+                start, direction, max_events=m, t_limit=t_cut
+            ))
+        return runs
+
+    @pytest.mark.parametrize(
+        "seeds", [range(s, s + 40) for s in range(0, 160, 40)]
+    )
+    def test_same_as_the_full_scan(self, seeds, monkeypatch):
+        errors, batches = set(), 0
+        for seed in seeds:
+            start = _symmetric_start(seed)
+            runs = self._runs(start, random.Random(seed))
+            with monkeypatch.context() as patched:
+                chosen = _choosing(patched)
+                got = [_typed_outcome(run) for run in runs]
+            assert chosen[:3] == ["_MirrorScan"] * 3, seed
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    simulator, "_MirrorScan", simulator._ExactScan
+                )
+                chosen = _choosing(patched)
+                expected = [_typed_outcome(run) for run in runs]
+            assert "_MirrorScan" not in chosen
+            assert got == expected, seed
+            for outcome in got:
+                if outcome[0][1] is rb.TripleCollisionError:
+                    errors.add((len(start) % 2, outcome[0][1]))
+            log = _outcome(runs[0])[1]
+            if isinstance(log, list):
+                batches += len(log) > len({e.t for e in log})
+        # the odd starts' neighbours of the resting middle reach it at
+        # once, and simultaneous mirrored pairs are resolved
+        assert (1, rb.TripleCollisionError) in errors
+        assert batches >= 5
+
+    def test_refused(self, monkeypatch):
+        """Starts that are not parity-symmetric in value and type take the
+        full scan, and a symmetric exact gas of 50 particles the heap: an
+        exact mirror whose particle 2 carries 11/10 of its energy and
+        momentum (the same x and v) or an int mu of 0, Fraction positions
+        mirrored by ints, and the float mirror."""
+        F = Fraction
+        mirror = _exact_mirror()
+        ps = list(mirror.particles)
+        p = ps[2]
+        ps[2] = rb.ParticleState(
+            p.E * F(11, 10), p.P * F(11, 10), p.mu * F(121, 100), p.x, 2
+        )
+        heavier = rb.BilliardState(tuple(ps), mirror.t)
+        ps[2] = replace(p, mu=int(p.mu))
+        int_mu = rb.BilliardState(tuple(ps), mirror.t)
+        left = [(F(5, 2), F(3, 2), F(-3)), (F(7, 2), F(1, 2), F(-1))]
+        ints = _from_halves(
+            left, [(E, -P, int(-x)) for E, P, x in reversed(left)]
+        )
+        float_mirror = rb.billiard_from_mirror(
+            *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
+        )
+        gas = _fraction_gas(0, 25).particles
+        gas = _from_halves(
+            [(p.E, p.P, p.x - 10**6) for p in gas],
+            [(p.E, -p.P, 10**6 - p.x) for p in reversed(gas)],
+        )
+        cases = [
+            (heavier, "_ExactScan"), (int_mu, "_ExactScan"),
+            (ints, "_ExactScan"),
+            (float_mirror, "_Scan"), (gas, "_PairQueue"),
+        ]
+        for start, name in cases:
+            runs = [
+                lambda: rb.simulate(start, max_events=20),
+                lambda: rb.simulate(start, "backward", max_events=20),
+            ]
+            with monkeypatch.context() as patched:
+                chosen = _choosing(patched)
+                got = [_typed_outcome(run) for run in runs]
+            assert chosen == [name, name]
+            with monkeypatch.context() as patched:
+                patched.setattr(simulator, "_MirrorScan", None)
+                assert [_typed_outcome(run) for run in runs] == got
+            assert isinstance(_outcome(runs[0])[1], list), name  # no error
+
+    def test_no_pair(self, monkeypatch):
+        """No particle, or one at rest at 0, leaves no pair to reflect: the
+        run takes the full scan to its time limit."""
+        F = Fraction
+        chosen = _choosing(monkeypatch)
+        for particles in (), (rb.ParticleState(F(2), F(0), F(4), F(0), 0),):
+            assert rb.simulate(
+                rb.BilliardState(particles, F(0)), t_limit=F(1)
+            ) == (rb.BilliardState(particles, F(1)), [])
+        assert chosen == ["_ExactScan"] * 2
 
 
 def _time_reversed(value):
