@@ -542,6 +542,15 @@ def tachyonic_census(
     orbit reaches the reduced map's pole or the backward one reaches
     sigma = 0; and SimulationError, with the collision index, where a
     float sigma overflows.
+
+    A step that returns the sigma it started from, in value and type, is
+    a fixed point's: every later step that way repeats it, with the same
+    pole test and predicate, so the census stops stepping that way and
+    adds the rest of its hits at once (``_census_walk``). A float orbit
+    that converges may land so on a fixed point; an exact one does only if
+    it starts on one. Both ways are stepped in turn until one stops, so
+    the first error raised is the one that stepping both to the end
+    raises.
     """
     if steps < 0:
         raise ValidationError(f"steps must be nonnegative, got {steps!r}")
@@ -550,12 +559,21 @@ def tachyonic_census(
     two_e, mu = 2 * params.E_total, params.mu
     hits = [0] if tachyonic_predicate(sigma1_0, params) else []
     ahead = behind = sigma1_0
+    # Each step is compared with the sigma it started from, unless the
+    # orbit is exact (a Fraction and no float among mu, 2*E_total and
+    # sigma1_0) and does not start on a fixed point: it never stands still.
+    types = {type(mu), type(two_e), type(sigma1_0)}
+    watch = (
+        float in types or Fraction not in types
+        or sigma1_0 * (two_e - sigma1_0) == mu
+    )
     # one step each way, with the predicate of tachyonic_predicate and the
     # formula of inverse_map written out; a zero behind is the inverse's
     # pole, so ZeroDivisionError is the one sign of it. A float that
     # leaves its range here is an infinity, never nan, and every infinity
     # meets the predicate: only a hit is tested for one.
     for n in range(1, steps + 1):
+        last_ahead, last_behind = ahead, behind
         try:
             ahead = mu / _check_pole(ahead, two_e)  # reduced_map
         except PoleError as exc:
@@ -575,9 +593,51 @@ def tachyonic_census(
             if behind in _INFINITIES:
                 raise _overflow(behind, -n)
             hits.append(-n)
+        if watch and (
+            ahead == last_ahead and type(ahead) is type(last_ahead)
+            or behind == last_behind and type(behind) is type(last_behind)
+        ):
+            # One way stands still, and raises no error from here on.
+            _census_walk(hits, ahead, n, steps, 1, two_e, mu)
+            _census_walk(hits, behind, n, steps, -1, two_e, mu)
+            break
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
     return len(hits), consecutive
+
+
+def _census_walk(
+    hits: list, sigma: Number, n: int, steps: int, sign: int,
+    two_e: Number, mu: Number,
+) -> None:
+    """Steps ``n + 1 ... steps`` of ``tachyonic_census`` forward (``sign``
+    1) or backward (-1) from ``sigma`` at step ``n``: append the index
+    ``sign * m`` of each hit to ``hits``, until a step returns the sigma
+    it started from, in value and type; then add the indices of the steps
+    left, if that sigma is a hit."""
+    for m in range(n + 1, steps + 1):
+        last = sigma
+        try:
+            sigma = (
+                mu / _check_pole(sigma, two_e) if sign > 0
+                else two_e - mu / sigma
+            )
+        except PoleError as exc:
+            raise PoleError(f"{exc} (at collision index {m - 1})") from exc
+        except ZeroDivisionError:
+            raise PoleError(
+                f"inverse map undefined at sigma = 0 "
+                f"(at collision index {1 - m})"
+            ) from None
+        hit = sigma * (sigma - two_e) > 0
+        if hit:
+            if sigma in _INFINITIES:
+                raise _overflow(sigma, sign * m)
+            hits.append(sign * m)
+        if sigma == last and type(sigma) is type(last):
+            if hit:
+                hits.extend(range(sign * (m + 1), sign * (steps + 1), sign))
+            return
 
 
 def _overflow(sigma: float, n: int) -> SimulationError:

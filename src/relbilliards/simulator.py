@@ -6,11 +6,8 @@ there, and resolves each colliding pair elastically. A run keeps positions
 and velocities as plain numbers and builds ``ParticleState`` objects only
 for the colliding pairs and the returned state. Several collisions at
 the same time but different places are legal and resolved left to right
-(the pairs are disjoint, so the order does not matter); a pair that is
-the mirror image (x -> -x) of the pair that parity maps it to, resolved
-before it at that time, as in a parity-symmetric state, takes that pair's
-outcome reflected rather than resolving it again. Two collisions at the
-same time *and* place are a genuine discontinuity of the dynamics and
+(the pairs are disjoint, so the order does not matter). Two collisions at
+the same time *and* place are a genuine discontinuity of the dynamics and
 raise TripleCollisionError.
 
 The scheduler only runs forward, and selects each event as its step, its
@@ -40,9 +37,12 @@ builds each colliding pair's sigma and rho from E and P. Exact meeting
 times bring both particles of a pair to one point, so the scan moves only
 the left one there and ``_resolve`` writes it to both, and each step is the
 selected flight time itself rather than the event time less the clock, a
-value equal to it. A scan run from a parity-symmetric start computes the
-left half of the line and negates it into the right (``_scheduler``). Every
-number is the one that recomputing it would give, in value and type.
+value equal to it.
+
+A scan run from a parity-symmetric start, float or exact, scans and
+resolves the pairs up to the middle and writes each other pair from its
+mirror image (``_MirrorScan``). Every number is the one that recomputing
+it would give, in value and type, the sign of a float zero included.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -246,6 +247,8 @@ class _Scan:
     """Event selection by a scan of every pair (``_earliest``) at every
     event. The scan reads every position, so each step moves them all."""
 
+    mirror = False  # whether ``_resolve`` writes image pairs (_MirrorScan)
+
     def __init__(self, xs: list, vs: list, t: Number) -> None:
         self.xs, self.vs = xs, vs
         self.selection = self.after(t, [])
@@ -274,36 +277,48 @@ class _ExactScan(_Scan):
                 xs[k] = xs[k] + v * dt
 
 
-class _MirrorScan(_ExactScan):
-    """The scan of an exact parity-symmetric run (``_scheduler``): it moves
-    and reads particles ``0 ... ceil(n/2) - 1``, and gives each pair ``i``
-    it finds its image ``n - 2 - i`` at the same flight time. A right-half
-    position is its image's negated, written only where it is read: a
-    mirrored pair's left, the middle pair's right (even n), ``settle``."""
+class _MirrorScan(_Scan):
+    """The scan of a parity-symmetric run (``_scheduler``): it reads pairs
+    ``0 ... n//2 - 1`` and adds to each pair ``i`` it selects its image ``n
+    - 2 - i``, which ``_resolve`` writes from it (``mirror``). A float run
+    moves every position, as ``_Scan`` does, since a sum that rounds to
+    zero has a sign of its own; an exact run moves particles ``0 ...
+    ceil(n/2) - 1``, as ``_ExactScan`` does, and writes a right-half
+    position as its image's negated where it is read: the middle pair's
+    right (even n), ``settle``."""
+
+    mirror = True
+
+    def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
+        self.exact = exact
+        super().__init__(xs, vs, t)
 
     def advance(self, dt: Number, lefts: list) -> None:
         xs, vs, n = self.xs, self.vs, len(self.xs)
-        half = (n + 1) // 2
+        if not self.exact:
+            xs[:] = [x + v * dt for x, v in zip(xs, vs)]
+            return
         met = {i + 1 for i in lefts}
-        for k in range(half):
+        for k in range((n + 1) // 2):
             if k not in met:
                 xs[k] = xs[k] + vs[k] * dt
         if not n % 2:
-            xs[half] = -xs[half - 1]
-        for i in lefts:  # the image pair's left particle is at the meeting
-            if i >= half:
-                xs[i] = -xs[n - 2 - i]
+            xs[n // 2] = -xs[n // 2 - 1]
 
     def after(self, t: Number, lefts: list) -> _Selection:
         n = len(self.xs)
-        cands = _flights(self.xs, self.vs, pairs=range(n // 2))
-        cands += [(n - 2 - i, dt) for i, dt in cands[::-1] if 2 * i + 2 != n]
-        return _select(cands, t)
+        selection = _select(_flights(self.xs, self.vs, pairs=range(n // 2)), t)
+        lefts = selection[2]
+        for i in lefts[::-1]:  # each pair's image, the middle pair's aside
+            if 2 * i + 2 != n:
+                lefts.append(n - 2 - i)
+        return selection
 
     def settle(self) -> None:
-        xs = self.xs
-        for k in range((len(xs) + 1) // 2, len(xs)):
-            xs[k] = -xs[~k]
+        if self.exact:
+            xs = self.xs
+            for k in range((len(xs) + 1) // 2, len(xs)):
+                xs[k] = -xs[~k]
 
 
 class _PairQueue:
@@ -351,6 +366,8 @@ class _PairQueue:
     close stays in order. The first pair that ``_flights`` finds out of
     order is therefore the scan's first.
     """
+
+    mirror = False
 
     def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
         self.xs, self.vs, self.exact = xs, vs, exact
@@ -508,11 +525,10 @@ def _scheduler(
     all float or all exact and may take more than one event (building it
     costs about one scan); the others scan every pair at every event. The
     heap costs 10% more on four float particles, half on Fraction gases.
-    An exact scan run whose start is parity-symmetric, each particle ``k``
-    the image of ``~k`` = ``n - 1 - k`` (x and v negated, sigma and rho
-    exchanged, the same mu, in value and type), stays so, and computes one
-    half of the line (``_MirrorScan``). Floats recompute both halves: a
-    negated float zero is -0.0, where recomputing gives 0.0.
+    A scan run whose start is parity-symmetric, each particle ``k`` the
+    image of ``~k`` = ``n - 1 - k`` (x, v and P negated, the same E and
+    mu, each in value and type), stays so, and computes one half of the
+    line (``_MirrorScan``).
     """
     exact = lc is not None
     if len(xs) > _HEAP_MIN_PAIRS and (max_events is None or max_events > 1):
@@ -522,15 +538,15 @@ def _scheduler(
             type(t) is float or type(t) is int and abs(t) <= 2**53
         ):
             return _PairQueue(xs, vs, t, exact=False)
-    if exact and len(xs) > 1 and all(
+    if len(xs) > 1 and all(
         a == b and type(a) is type(b)
         for k in range((len(xs) + 1) // 2)
         for a, b in zip(
-            (xs[k], vs[k], *lc[k], ps[k].mu),
-            (-xs[~k], -vs[~k], *lc[~k][::-1], ps[~k].mu),
+            (xs[k], vs[k], ps[k].E, ps[k].P, ps[k].mu),
+            (-xs[~k], -vs[~k], ps[~k].E, -ps[~k].P, ps[~k].mu),
         )
     ):
-        return _MirrorScan(xs, vs, t)
+        return _MirrorScan(xs, vs, t, exact)
     return _ExactScan(xs, vs, t) if exact else _Scan(xs, vs, t)
 
 
@@ -576,36 +592,6 @@ def _check_disjoint(lefts: list[int]) -> None:
             )
 
 
-def _reflected(
-    s_i: Number, r_i: Number, s_j: Number, r_j: Number,
-    image_inputs: tuple, outcome: tuple,
-) -> tuple | None:
-    """The outcome of ``collide`` on ``(s_i, r_i, s_j, r_j)``, read off a
-    resolved pair's ``image_inputs`` and ``outcome`` if those inputs are
-    their mirror image; else None.
-
-    Parity takes each (sigma, rho) to (rho, sigma) and swaps a pair's
-    particles. On inputs equal, in value and type, to ``image_inputs`` so
-    reflected, ``collide`` returns ``outcome`` reflected, the sign flips
-    swapped, or on a swap the pair's own inputs exchanged: in exact
-    arithmetic by value, in floats by the same operations up to the order
-    of each sum's and product's operands. The sign of a float zero, which
-    the equality ignores, shows in no E, P, velocity or flag built from the
-    outcome.
-    """
-    a_i, b_i, a_j, b_j = image_inputs
-    if not (
-        s_i == b_j and r_i == a_j and s_j == b_i and r_j == a_i
-        and type(s_i) is type(b_j) and type(r_i) is type(a_j)
-        and type(s_j) is type(b_i) and type(r_j) is type(a_i)
-    ):
-        return None
-    sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = outcome
-    if sigma_i is a_j and rho_i is b_j:  # collide's swap
-        return s_j, r_j, s_i, r_i, tachyonic, flip_j, flip_i
-    return rho_j, sigma_j, rho_i, sigma_i, tachyonic, flip_j, flip_i
-
-
 def _resolve(
     ps: list,
     xs: list,
@@ -614,6 +600,7 @@ def _resolve(
     lefts: list,
     back: bool,
     lc: list | None,
+    mirror: bool,
 ) -> list[CollisionEvent]:
     """Resolve the collisions of the pairs ``(i, i + 1)``, ``i`` in the
     ascending ``lefts``, at time ``t``, where the particles ``ps`` sit at
@@ -627,22 +614,25 @@ def _resolve(
     is written to both; in any other run it is None, and each pair's
     coordinates are built from its particles.
 
-    A pair that is the mirror image of the pair that parity maps it to,
-    resolved before it in the batch, takes that pair's outcome reflected
-    (``_reflected``), and in an exact run its partner's E with P and v
-    negated: a Fraction has no signed zero, so these are the values that
-    recomputing gives. A float run recomputes E, P and v, so a particle
-    left at rest keeps P = 0.0.
+    In a parity-symmetric run (``mirror``, ``_MirrorScan``) only the pairs
+    up to the middle are resolved. Each other pair ``n - 2 - i`` is written
+    from its image ``i``: E kept, x, P and v negated, the sign flips
+    swapped, and in an exact run (sigma, rho) exchanged. Any check on it
+    would repeat one that its image passed, on bit-identical operands.
+    Float zeros are written as recomputing gives them: a P or v of zero
+    keeps its image's sign, since recomputing gives P = (sigma - rho)/2 =
+    0.0 to both in the run's frame, and v = P/E with the same E; a meeting
+    point of zero is the midpoint of the pair's positions, whose sign the
+    image's does not fix (its rounding may differ).
     """
     _check_disjoint(lefts)
 
     t_event = -t if back else t
+    n = len(ps)
     events = []
-    # In a batch of several pairs, each resolved pair's inputs and outcome,
-    # by left index. Parity maps pair (i, i + 1) to pair (k, k + 1), where
-    # k = len(ps) - 2 - i.
-    resolved = {} if len(lefts) > 1 else None
-    for i in lefts:  # left-to-right; pairs are disjoint
+    # The pairs below the middle and the middle pair: 2*i + 2 <= n.
+    own = lefts[:bisect_right(lefts, n // 2 - 1)] if mirror else lefts
+    for i in own:  # left-to-right; pairs are disjoint
         j = i + 1
         p, q = ps[i], ps[j]
         if lc is None:
@@ -658,17 +648,9 @@ def _resolve(
         else:  # exact: one meeting point, and the carried coordinates
             x_e = xs[i]
             (s_i, r_i), (s_j, r_j) = lc[i], lc[j]
-        image = None
-        if resolved is None:
-            outcome = collide(s_i, r_i, s_j, r_j)
-        else:
-            image = resolved.get(len(ps) - 2 - i)
-            outcome = image and _reflected(s_i, r_i, s_j, r_j, *image)
-            if not outcome:
-                image = None
-                outcome = collide(s_i, r_i, s_j, r_j)
-            resolved[i] = (s_i, r_i, s_j, r_j), outcome
-        sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = outcome
+        sigma_i, rho_i, sigma_j, rho_j, tachyonic, flip_i, flip_j = collide(
+            s_i, r_i, s_j, r_j
+        )
         if (
             sigma_i is s_j and rho_i is r_j  # collide's swap
             and type(p.E) is Fraction and type(p.P) is Fraction
@@ -680,18 +662,6 @@ def _resolve(
             post_i = ParticleState._unchecked(q.E, q.P, p.mu, x_e, p.label)
             post_j = ParticleState._unchecked(p.E, p.P, q.mu, x_e, q.label)
             v_i, v_j = vs[j], vs[i]
-        elif image and lc is not None:
-            # The exact mirror image of a pair that separated: each particle
-            # leaves as its image's partner did, reflected.
-            k = len(ps) - 2 - i
-            image_i, image_j = ps[k], ps[k + 1]
-            post_i = ParticleState._evolved(
-                image_j.E, -image_j.P, p.mu, x_e, p.label
-            )
-            post_j = ParticleState._evolved(
-                image_i.E, -image_i.P, q.mu, x_e, q.label
-            )
-            v_i, v_j = -vs[k + 1], -vs[k]
         else:
             # E = (sigma + rho)/2 and P = (sigma - rho)/2 in the run's
             # frame, P negated in the caller's; each mu carried over
@@ -720,6 +690,34 @@ def _resolve(
         events.append(
             CollisionEvent._unchecked(
                 t_event, (i, j), x_e, pre, post, tachyonic, (flip_i, flip_j)
+            )
+        )
+    if len(own) == len(lefts):  # no image pairs
+        return events
+    for event in events[len(lefts) - len(own) - 1::-1]:  # in image order
+        i = event.pair[0]
+        j, k = i + 1, n - 2 - i
+        m = k + 1
+        p, q, a, b = ps[k], ps[m], ps[j], ps[i]  # a, b: k's, m's mirrors
+        x_e = event.x
+        x_e = -x_e if x_e or type(x_e) is not float else (xs[k] + xs[m]) / 2
+        if lc is None:
+            P_k, P_m = -a.P if a.P else a.P, -b.P if b.P else b.P
+            v_k, v_m = -vs[j] if vs[j] else vs[j], -vs[i] if vs[i] else vs[i]
+        else:
+            P_k, P_m, v_k, v_m = -a.P, -b.P, -vs[j], -vs[i]
+            lc[k], lc[m] = lc[j][::-1], lc[i][::-1]
+        post_k = ParticleState._unchecked(a.E, P_k, p.mu, x_e, p.label)
+        post_m = ParticleState._unchecked(b.E, P_m, q.mu, x_e, q.label)
+        ps[k], ps[m] = post_k, post_m
+        xs[k] = xs[m] = x_e
+        vs[k], vs[m] = v_k, v_m
+        run = (p.with_position(x_e), q.with_position(x_e)), (post_k, post_m)
+        pre, post = run[::-1] if back else run
+        events.append(
+            CollisionEvent._unchecked(
+                t_event, (k, m), x_e, pre, post, event.tachyonic,
+                event.sign_flips[::-1],
             )
         )
     return events
@@ -786,6 +784,7 @@ def simulate(
             for p in ps
         ]
     run = _scheduler(ps, xs, vs, t, max_events, lc)
+    mirror = run.mirror
     dt, t_event, lefts = run.selection
     while max_events is None or len(log) < max_events:
         if not lefts or (t_limit is not None and t_event >= t_limit):
@@ -797,7 +796,7 @@ def simulate(
         t = t_event
         try:
             _finite(t, "event time")
-            events = _resolve(ps, xs, vs, t, lefts, back, lc)
+            events = _resolve(ps, xs, vs, t, lefts, back, lc, mirror)
             dt, t_event, lefts = run.after(t, lefts)
         except ValueError as exc:  # bad positions or particle data
             raise SimulationError(

@@ -245,11 +245,16 @@ def test_same_as_reference(num, mu, e_total, sigma1_0):
 )
 @pytest.mark.parametrize(
     "mu, e_total, sigma1_0",
-    [(1, 1, 2), (1, 1, 0.5), (4, 1, 1), (0.75, 1, 3), (5 / 4, 1, 5 / 8)],
+    [
+        (1, 1, 2), (1, 1, 0.5), (4, 1, 1), (0.75, 1, 3), (5 / 4, 1, 5 / 8),
+        (0.75, 1, 1.5),
+    ],
 )
 def test_mixed_types_same_as_reference(types, mu, e_total, sigma1_0):
     """Each of mu, E_total and sigma1_0 as a float or a Fraction: the map
-    mixes the two, and a step's arithmetic may change type."""
+    mixes the two, and a step's arithmetic may change type, as from the
+    fixed point 3/2 of mu = 3/4, where a float step equals a Fraction
+    start in value alone."""
     args = [num(x) for num, x in zip(types, (mu, e_total, sigma1_0))]
     _same_census(*args)
     _same_trajectory(*args)
@@ -307,3 +312,49 @@ def test_backward_e2_underflow_same_as_reference():
     got = _outcome(rb.reduced_trajectory, params, s0, 0, 3)
     assert got == _outcome(reference_trajectory, params, s0, 0, 3)
     assert got[0] is SimulationError and "E2 = 0.0" in got[1]
+
+
+#: the tachyon-scan grid of the cli_float benchmark workload
+CLI_GRID = list(product(
+    (0.25, 0.5, 1.0, 2.0, 4.0), (-1.0, 1.0), (-3.0, -0.7, 0.3, 1.3, 3.0)
+))
+
+
+@pytest.mark.parametrize(
+    "mu, e_total, sigma1_0",
+    CLI_GRID + [(Fraction(3, 4), Fraction(1), Fraction(3, 2))],
+)
+def test_stationary_orbits_same_as_reference(mu, e_total, sigma1_0):
+    """At 1000 steps, where the float orbits of mu = 0.25 and 0.5 settle
+    on a fixed point each way, and from the exact fixed point 3/2 of mu =
+    3/4, the census that stops there counts what the reference does."""
+    _same_census(mu, e_total, sigma1_0, steps=1000)
+
+
+def test_census_stops_on_a_fixed_point(monkeypatch):
+    """The orbit of mu = 0.25, E_total = 1 through sigma1_0 = 3 stands on
+    a fixed point, bit for bit, within 30 steps each way, and the census
+    of 1000 steps takes no more: the forward steps counted as pole tests,
+    the backward ones as the divisions of mu left over."""
+    forward = 0
+    check_pole = mirror._check_pole
+
+    def counting(*args):
+        nonlocal forward
+        forward += 1
+        return check_pole(*args)
+
+    class Mu(float):
+        divisions = 0
+
+        def __truediv__(self, other):
+            Mu.divisions += 1
+            return float.__truediv__(self, other)
+
+    monkeypatch.setattr(mirror, "_check_pole", counting)
+    params = rb.MirrorParams(Mu(0.25), 1.0)
+    assert mirror.tachyonic_census(params, 3.0, 1000) == reference_census(
+        rb.MirrorParams(0.25, 1.0), 3.0, 1000
+    )
+    assert 0 < forward <= 30
+    assert 0 < Mu.divisions - forward <= 30

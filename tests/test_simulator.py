@@ -563,8 +563,8 @@ class TestObjectCost:
         6,741 such calls, measured on Python 3.11: its start is
         parity-symmetric, so each call moves and scans only the left half
         and reflects the right. It calls ``collide`` 400 times: 200 of its
-        600 pair collisions are the mirror images of pairs resolved before
-        them at the same time, which they reflect."""
+        600 pair collisions are the mirror images of pairs resolved at the
+        same time, and are written from them."""
         start = _exact_mirror()
         calls = 0
         for name in (
@@ -591,6 +591,32 @@ class TestObjectCost:
         assert state == start
         assert calls <= 6_741
         assert len(collides) <= 400
+
+    def test_float_mirror_resolves_half_the_pairs(self, monkeypatch):
+        """3000 events of the float mirror system mu=4.005 resolve 2000
+        pairs: the 1000 exchanges of the middle pair, and the left one of
+        each of the 1000 simultaneous outer pairs, whose image is written
+        from it. That is 2000 ``collide`` calls and two
+        ``ParticleState._evolved`` calls per resolved pair."""
+        start = rb.billiard_from_mirror(
+            *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
+        )
+        collides = _counting_collide(monkeypatch)
+        evolved = 0
+        make = vars(rb.ParticleState)["_evolved"].__func__
+
+        def counting(cls, *args):
+            nonlocal evolved
+            evolved += 1
+            return make(cls, *args)
+
+        monkeypatch.setattr(
+            rb.ParticleState, "_evolved", classmethod(counting)
+        )
+        _, log = rb.simulate(start, max_events=3000)
+        assert len(log) == 3000
+        assert len(collides) <= 2000
+        assert evolved <= 4000
 
     def test_no_collision_records_in_float_loop(self, monkeypatch):
         """The event loop resolves collisions on plain numbers: a float
@@ -661,8 +687,8 @@ def _from_halves(left, right) -> rb.BilliardState:
 
 
 class TestMirrorReflection:
-    """In a batch of simultaneous collisions, a pair that is the parity
-    image of the pair resolved before it takes that pair's outcome
+    """In a parity-symmetric run, a pair that is the parity image of a
+    pair resolved at the same time is written from that pair's outcome,
     reflected, and logs what recomputing it would give."""
 
     @pytest.mark.parametrize(
@@ -754,26 +780,39 @@ class TestMirrorReflection:
 
 
 def _symmetric_start(seed: int) -> rb.BilliardState:
-    """A seeded parity-symmetric exact state of ``2 + seed % 8`` particles:
-    a left half of bradyons, massless particles and tachyons of either
+    """A seeded parity-symmetric state of ``2 + seed % 8`` particles: a
+    left half of bradyons, massless particles and tachyons of either
     energy sign, its mirror image (P and x negated) on the right, and for
     an odd count a resting particle at 0 between them. Its data is int,
-    Fraction, or int or Fraction by mirrored pair."""
+    Fraction, int or Fraction by mirrored pair, float, or float or Fraction
+    by mirrored pair. A float zero, of a momentum or of a position (the
+    innermost pair sits at 0 in one start of three), takes either sign,
+    drawn for each particle."""
     rng = random.Random(seed)
     n = 2 + seed % 8
-    kind = ("int", "fraction", "mixed")[seed // 8 % 3]
+    kind = ("int", "fraction", "mixed", "float", "float-fraction")[
+        seed // 8 % 5
+    ]
+    nums = {
+        "int": (int,), "fraction": (Fraction,), "mixed": (int, Fraction),
+        "float": (float,), "float-fraction": (float, Fraction),
+    }[kind]
 
     def number(num, top):
         if num is int:
             return rng.randint(1, top)
-        return Fraction(rng.randint(1, 4 * top), rng.randint(1, 4))
+        return num(rng.randint(1, 4 * top)) / rng.randint(1, 4)
+
+    def signed(v):
+        return rng.choice((0.0, -0.0)) if type(v) is float and not v else v
 
     left, x = [], 0
     for _ in range(n // 2):
-        num = {"int": int, "fraction": Fraction}.get(
-            kind, rng.choice((int, Fraction))
-        )
-        x -= number(num, 3)
+        num = rng.choice(nums)
+        if left or rng.random() < 2 / 3:
+            x -= number(num, 3)
+        else:
+            x = num(0)
         E = number(num, 4)
         species = rng.choice(("bradyon", "massless", "tachyon"))
         if species == "massless":
@@ -781,25 +820,32 @@ def _symmetric_start(seed: int) -> rb.BilliardState:
         elif species == "tachyon":
             P = E + number(num, 2)
         else:
-            P = E * rng.randint(0, 3) // 4 if num is int else E * Fraction(
-                rng.randint(0, 7), 8
-            )
+            P = E * rng.randint(0, 3) // 4 if num is int else E * num(
+                rng.randint(0, 7)
+            ) / 8
         E, P = rng.choice((E, -E)), rng.choice((P, -P))
         left.insert(0, (E, P, x))
     middle = []
     if n % 2:
-        num = int if kind == "int" else Fraction
+        num = nums[-1]
         E = rng.choice((1, -1)) * number(num, 4)
         middle = [(E, 0 * E, 0 * E)]
     right = [(E, -P, -x) for E, P, x in reversed(left)]
-    start = _from_halves(left + middle, right)
-    num = Fraction if kind == "fraction" else int
-    return rb.BilliardState(start.particles, num(rng.randint(-2, 2)))
+    start = _from_halves(
+        [(E, signed(P), signed(x)) for E, P, x in left + middle + right], []
+    )
+    return rb.BilliardState(start.particles, rng.choice(nums)(
+        rng.randint(-2, 2)
+    ))
 
 
-def _typed_outcome(run):
-    """``_outcome`` of ``run`` with each number in it and its type."""
-    return [(type(v), v) for v in _numbers(_outcome(run))]
+def _mirrored_at_rest_pair(x: float) -> rb.BilliardState:
+    """``_at_rest_pair`` moved so that its resting particle sits at ``x``
+    <= 0, with its mirror image on the right: run backward, the moving
+    particles are brought to rest, with P = -0.0 where a negated 0.0 would
+    be 0.0; at ``x`` = 0 the four meet at the origin."""
+    left = [(p.E, p.P, p.x + x) for p in _at_rest_pair().particles]
+    return _from_halves(left, [(E, -P, -x) for E, P, x in reversed(left)])
 
 
 def _choosing(monkeypatch) -> list:
@@ -816,10 +862,16 @@ def _choosing(monkeypatch) -> list:
     return chosen
 
 
+def _full_scan(xs, vs, t, exact):
+    """The full scan, to be patched in for ``_MirrorScan``."""
+    return (simulator._ExactScan if exact else simulator._Scan)(xs, vs, t)
+
+
 class TestMirrorScan:
-    """An exact scan run from a parity-symmetric start computes the left
-    half and reflects the right: it gives the full scan's state and log,
-    or its error, equal in value and type."""
+    """A scan run from a parity-symmetric start computes one half of the
+    line and writes the other from it: it gives the full scan's state and
+    log, or its error, bit for bit (``repr`` tells the number types apart,
+    and -0.0 from 0.0)."""
 
     @staticmethod
     def _runs(start: rb.BilliardState, rng: random.Random) -> list:
@@ -851,30 +903,35 @@ class TestMirrorScan:
             ))
         return runs
 
+    @staticmethod
+    def _same_as_the_full_scan(runs, monkeypatch) -> list:
+        """The outcome of each run, asserted to be the full scan's; the
+        first three runs take ``_MirrorScan``."""
+        with monkeypatch.context() as patched:
+            chosen = _choosing(patched)
+            got = [_outcome(run) for run in runs]
+        assert chosen[:3] == ["_MirrorScan"] * 3
+        with monkeypatch.context() as patched:
+            patched.setattr(simulator, "_MirrorScan", _full_scan)
+            chosen = _choosing(patched)
+            expected = [repr(_outcome(run)) for run in runs]
+        assert "_MirrorScan" not in chosen
+        assert [repr(outcome) for outcome in got] == expected
+        return got
+
     @pytest.mark.parametrize(
-        "seeds", [range(s, s + 40) for s in range(0, 160, 40)]
+        "seeds", [range(s, s + 40) for s in range(0, 200, 40)]
     )
     def test_same_as_the_full_scan(self, seeds, monkeypatch):
         errors, batches = set(), 0
         for seed in seeds:
             start = _symmetric_start(seed)
             runs = self._runs(start, random.Random(seed))
-            with monkeypatch.context() as patched:
-                chosen = _choosing(patched)
-                got = [_typed_outcome(run) for run in runs]
-            assert chosen[:3] == ["_MirrorScan"] * 3, seed
-            with monkeypatch.context() as patched:
-                patched.setattr(
-                    simulator, "_MirrorScan", simulator._ExactScan
-                )
-                chosen = _choosing(patched)
-                expected = [_typed_outcome(run) for run in runs]
-            assert "_MirrorScan" not in chosen
-            assert got == expected, seed
+            got = self._same_as_the_full_scan(runs, monkeypatch)
             for outcome in got:
-                if outcome[0][1] is rb.TripleCollisionError:
-                    errors.add((len(start) % 2, outcome[0][1]))
-            log = _outcome(runs[0])[1]
+                if outcome[0] is rb.TripleCollisionError:
+                    errors.add((len(start) % 2, outcome[0]))
+            log = got[0][1]
             if isinstance(log, list):
                 batches += len(log) > len({e.t for e in log})
         # the odd starts' neighbours of the resting middle reach it at
@@ -882,12 +939,52 @@ class TestMirrorScan:
         assert (1, rb.TripleCollisionError) in errors
         assert batches >= 5
 
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda: _mirrored_at_rest_pair(-1.0),
+            lambda: _mirrored_at_rest_pair(0.0),
+            # Four particles at the origin, the right two at -0.0: pair
+            # (2, 3) leaves particle 3 at rest at -0.0, where the sign of
+            # its velocity's zero shows in its next move.
+            lambda: _from_halves(
+                [(1.25, 0.75, 0.0), (1.0, 0.0, 0.0)],
+                [(1.0, -0.0, -0.0), (1.25, -0.75, -0.0)],
+            ),
+            # Pairs (0, 1) and (2, 3) meet at 5e-324 and at -5e-324, across
+            # the middle pair inverted within contact slack: their
+            # midpoints round to 0.0 and -0.0, not to a zero and its image.
+            lambda: _from_halves(
+                [(1.0, 0.5, 0.0), (1.0, -0.5, 5e-324)],
+                [(1.0, 0.5, -5e-324), (1.0, -0.5, 0.0)],
+            ),
+            lambda: rb.billiard_from_mirror(
+                *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
+            ),
+        ],
+        ids=[
+            "at-rest", "at-rest-at-0", "origin", "subnormal", "float-mu4.005"
+        ],
+    )
+    def test_float_zeros_same_as_the_full_scan(self, start, monkeypatch):
+        """Float starts whose runs make zeros of either sign, run from the
+        start and from its time-reversed image, with event budgets of 3 to
+        10."""
+        start = start()
+        for run_start in start, _time_reversed(start):
+            for seed in range(6):
+                runs = self._runs(run_start, random.Random(seed))
+                got = self._same_as_the_full_scan(runs, monkeypatch)
+                assert isinstance(got[0][1], list)  # no error
+
     def test_refused(self, monkeypatch):
         """Starts that are not parity-symmetric in value and type take the
         full scan, and a symmetric exact gas of 50 particles the heap: an
         exact mirror whose particle 2 carries 11/10 of its energy and
         momentum (the same x and v) or an int mu of 0, Fraction positions
-        mirrored by ints, and the float mirror."""
+        mirrored by ints, a float mirror whose particle 3 sits at an int
+        position or has a momentum one ulp off. The float mirror itself
+        takes the half-line scan."""
         F = Fraction
         mirror = _exact_mirror()
         ps = list(mirror.particles)
@@ -905,6 +1002,13 @@ class TestMirrorScan:
         float_mirror = rb.billiard_from_mirror(
             *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
         )
+        ps = list(float_mirror.particles)
+        p = ps[3]
+        ps[3] = replace(p, x=int(p.x))
+        int_x = rb.BilliardState(tuple(ps), float_mirror.t)
+        assert int_x.particles[3].x == -ps[0].x
+        ps[3] = replace(p, P=math.nextafter(p.P, math.inf))
+        ulp_off = rb.BilliardState(tuple(ps), float_mirror.t)
         gas = _fraction_gas(0, 25).particles
         gas = _from_halves(
             [(p.E, p.P, p.x - 10**6) for p in gas],
@@ -912,8 +1016,8 @@ class TestMirrorScan:
         )
         cases = [
             (heavier, "_ExactScan"), (int_mu, "_ExactScan"),
-            (ints, "_ExactScan"),
-            (float_mirror, "_Scan"), (gas, "_PairQueue"),
+            (ints, "_ExactScan"), (int_x, "_Scan"), (ulp_off, "_Scan"),
+            (float_mirror, "_MirrorScan"), (gas, "_PairQueue"),
         ]
         for start, name in cases:
             runs = [
@@ -922,11 +1026,14 @@ class TestMirrorScan:
             ]
             with monkeypatch.context() as patched:
                 chosen = _choosing(patched)
-                got = [_typed_outcome(run) for run in runs]
+                got = [repr(_outcome(run)) for run in runs]
             assert chosen == [name, name]
             with monkeypatch.context() as patched:
-                patched.setattr(simulator, "_MirrorScan", None)
-                assert [_typed_outcome(run) for run in runs] == got
+                if name != "_MirrorScan":
+                    patched.setattr(simulator, "_MirrorScan", None)
+                else:
+                    patched.setattr(simulator, "_MirrorScan", _full_scan)
+                assert [repr(_outcome(run)) for run in runs] == got
             assert isinstance(_outcome(runs[0])[1], list), name  # no error
 
     def test_no_pair(self, monkeypatch):
