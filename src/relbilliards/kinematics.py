@@ -244,13 +244,18 @@ def from_sigma_rho(sr: SigmaRho) -> tuple[Number, Number]:
 
 
 def massless(
-    E: Number, direction: int, x: Number = 0.0, label: int = 0
+    E: Number, direction: int, x: Number | None = None, label: int = 0
 ) -> ParticleState:
     """A massless particle moving at light speed in the given direction (+-1).
 
     P is set to ``direction * E`` exactly, so |velocity| == 1 holds
-    bit-for-bit and the stored mu is exactly zero.
+    bit-for-bit and the stored mu is exactly zero. Both mu and the default
+    position are the zero of E's type (``E - E``), so an exact E makes an
+    exact particle and a float E one at 0.0.
     """
     if direction not in (1, -1):
         raise ValidationError("direction must be +1 or -1")
-    return ParticleState(E=E, P=direction * E, mu=E - E, x=x, label=label)
+    zero = E - E
+    return ParticleState(
+        E=E, P=direction * E, mu=zero, x=zero if x is None else x, label=label
+    )

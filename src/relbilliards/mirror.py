@@ -546,11 +546,12 @@ def tachyonic_census(
     A step that returns the sigma it started from, in value and type, is
     a fixed point's: every later step that way repeats it, with the same
     pole test and predicate, so the census stops stepping that way and
-    adds the rest of its hits at once (``_census_walk``). A float orbit
-    that converges may land so on a fixed point; an exact one does only if
-    it starts on one. Both ways are stepped in turn until one stops, so
-    the first error raised is the one that stepping both to the end
-    raises.
+    adds the rest of its hits at once. A float orbit that converges may
+    land so on a fixed point; an exact one does only if it starts on one.
+    The two ways are stepped in turn, forward first, until both have
+    stopped or reached ``steps``, so the error raised is the one met first
+    when both are stepped to the end: within a step, a forward pole, a
+    backward pole, a forward overflow, a backward overflow.
     """
     if steps < 0:
         raise ValidationError(f"steps must be nonnegative, got {steps!r}")
@@ -567,77 +568,63 @@ def tachyonic_census(
         float in types or Fraction not in types
         or sigma1_0 * (two_e - sigma1_0) == mu
     )
+    forward = backward = True  # whether each way is still stepped
     # one step each way, with the predicate of tachyonic_predicate and the
     # formula of inverse_map written out; a zero behind is the inverse's
     # pole, so ZeroDivisionError is the one sign of it. A float that
     # leaves its range here is an infinity, never nan, and every infinity
     # meets the predicate: only a hit is tested for one.
     for n in range(1, steps + 1):
-        last_ahead, last_behind = ahead, behind
-        try:
-            ahead = mu / _check_pole(ahead, two_e)  # reduced_map
-        except PoleError as exc:
-            raise PoleError(f"{exc} (at collision index {n - 1})") from exc
-        try:
-            behind = two_e - mu / behind
-        except ZeroDivisionError:
-            raise PoleError(
-                f"inverse map undefined at sigma = 0 "
-                f"(at collision index {1 - n})"
-            ) from None
-        if ahead * (ahead - two_e) > 0:
-            if ahead in _INFINITIES:
-                raise _overflow(ahead, n)
-            hits.append(n)
-        if behind * (behind - two_e) > 0:
-            if behind in _INFINITIES:
-                raise _overflow(behind, -n)
-            hits.append(-n)
-        if watch and (
-            ahead == last_ahead and type(ahead) is type(last_ahead)
-            or behind == last_behind and type(behind) is type(last_behind)
-        ):
-            # One way stands still, and raises no error from here on.
-            _census_walk(hits, ahead, n, steps, 1, two_e, mu)
-            _census_walk(hits, behind, n, steps, -1, two_e, mu)
-            break
+        if forward:
+            last_ahead = ahead
+            try:
+                ahead = mu / _check_pole(ahead, two_e)  # reduced_map
+            except PoleError as exc:
+                raise PoleError(
+                    f"{exc} (at collision index {n - 1})"
+                ) from exc
+        if backward:
+            last_behind = behind
+            try:
+                behind = two_e - mu / behind
+            except ZeroDivisionError:
+                raise PoleError(
+                    f"inverse map undefined at sigma = 0 "
+                    f"(at collision index {1 - n})"
+                ) from None
+        if forward:
+            ahead_hit = ahead * (ahead - two_e) > 0
+            if ahead_hit:
+                if ahead in _INFINITIES:
+                    raise _overflow(ahead, n)
+                hits.append(n)
+        if backward:
+            behind_hit = behind * (behind - two_e) > 0
+            if behind_hit:
+                if behind in _INFINITIES:
+                    raise _overflow(behind, -n)
+                hits.append(-n)
+        if watch:
+            # A way that stands still raises no error from here on.
+            if (
+                forward and ahead == last_ahead
+                and type(ahead) is type(last_ahead)
+            ):
+                forward = False
+                if ahead_hit:
+                    hits.extend(range(n + 1, steps + 1))
+            if (
+                backward and behind == last_behind
+                and type(behind) is type(last_behind)
+            ):
+                backward = False
+                if behind_hit:
+                    hits.extend(range(-n - 1, -steps - 1, -1))
+            if not (forward or backward):
+                break
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
     return len(hits), consecutive
-
-
-def _census_walk(
-    hits: list, sigma: Number, n: int, steps: int, sign: int,
-    two_e: Number, mu: Number,
-) -> None:
-    """Steps ``n + 1 ... steps`` of ``tachyonic_census`` forward (``sign``
-    1) or backward (-1) from ``sigma`` at step ``n``: append the index
-    ``sign * m`` of each hit to ``hits``, until a step returns the sigma
-    it started from, in value and type; then add the indices of the steps
-    left, if that sigma is a hit."""
-    for m in range(n + 1, steps + 1):
-        last = sigma
-        try:
-            sigma = (
-                mu / _check_pole(sigma, two_e) if sign > 0
-                else two_e - mu / sigma
-            )
-        except PoleError as exc:
-            raise PoleError(f"{exc} (at collision index {m - 1})") from exc
-        except ZeroDivisionError:
-            raise PoleError(
-                f"inverse map undefined at sigma = 0 "
-                f"(at collision index {1 - m})"
-            ) from None
-        hit = sigma * (sigma - two_e) > 0
-        if hit:
-            if sigma in _INFINITIES:
-                raise _overflow(sigma, sign * m)
-            hits.append(sign * m)
-        if sigma == last and type(sigma) is type(last):
-            if hit:
-                hits.extend(range(sign * (m + 1), sign * (steps + 1), sign))
-            return
 
 
 def _overflow(sigma: float, n: int) -> SimulationError:

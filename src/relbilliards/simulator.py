@@ -37,12 +37,15 @@ builds each colliding pair's sigma and rho from E and P. Exact meeting
 times bring both particles of a pair to one point, so the scan moves only
 the left one there and ``_resolve`` writes it to both, and each step is the
 selected flight time itself rather than the event time less the clock, a
-value equal to it.
+value equal to it. One scan class (``_Scan``) takes both kinds of run and
+moves the positions by the run's kind.
 
 A scan run from a parity-symmetric start, float or exact, scans and
 resolves the pairs up to the middle and writes each other pair from its
-mirror image (``_MirrorScan``). Every number is the one that recomputing
-it would give, in value and type, the sign of a float zero included.
+mirror image (``_MirrorScan``, which adds only its scan and the writing of
+the right half to ``_Scan``). An exact step moves only the left half.
+Every number is the one that recomputing it would give, in value and type,
+the sign of a float zero included.
 """
 
 from __future__ import annotations
@@ -245,17 +248,29 @@ _EPS = sys.float_info.epsilon
 
 class _Scan:
     """Event selection by a scan of every pair (``_earliest``) at every
-    event. The scan reads every position, so each step moves them all."""
+    event. A float step moves every position, since the scan reads them
+    all. An exact step moves every particle but the right one of each pair
+    of the selection: that pair meets at one point, exactly, and
+    ``_resolve`` gives the right particle the left one's position."""
 
     mirror = False  # whether ``_resolve`` writes image pairs (_MirrorScan)
 
-    def __init__(self, xs: list, vs: list, t: Number) -> None:
-        self.xs, self.vs = xs, vs
+    def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
+        self.xs, self.vs, self.exact = xs, vs, exact
+        # The particles an exact step moves: in a mirror run the left half,
+        # from which the right half is written.
+        self.moving = range((len(xs) + 1) // 2 if self.mirror else len(xs))
         self.selection = self.after(t, [])
 
     def advance(self, dt: Number, lefts: list) -> None:
-        xs = self.xs
-        xs[:] = [x + v * dt for x, v in zip(xs, self.vs)]
+        xs, vs = self.xs, self.vs
+        if not self.exact:
+            xs[:] = [x + v * dt for x, v in zip(xs, vs)]
+            return
+        met = {i + 1 for i in lefts}
+        for k in self.moving:
+            if k not in met:
+                xs[k] = xs[k] + vs[k] * dt
 
     def after(self, t: Number, lefts: list) -> _Selection:
         return _earliest(self.xs, self.vs, t)
@@ -264,50 +279,23 @@ class _Scan:
         pass
 
 
-class _ExactScan(_Scan):
-    """The scan of an exact run. Each pair of a selection meets at one
-    point, exactly, so only its left particle moves there; ``_resolve``
-    gives the right one that position. The others move as in ``_Scan``."""
-
-    def advance(self, dt: Number, lefts: list) -> None:
-        xs = self.xs
-        met = {i + 1 for i in lefts}
-        for k, v in enumerate(self.vs):
-            if k not in met:
-                xs[k] = xs[k] + v * dt
-
-
 class _MirrorScan(_Scan):
     """The scan of a parity-symmetric run (``_scheduler``): it reads pairs
     ``0 ... n//2 - 1`` and adds to each pair ``i`` it selects its image ``n
-    - 2 - i``, which ``_resolve`` writes from it (``mirror``). A float run
-    moves every position, as ``_Scan`` does, since a sum that rounds to
-    zero has a sign of its own; an exact run moves particles ``0 ...
-    ceil(n/2) - 1``, as ``_ExactScan`` does, and writes a right-half
-    position as its image's negated where it is read: the middle pair's
-    right (even n), ``settle``."""
+    - 2 - i``, which ``_resolve`` writes from it (``mirror``). A float step
+    moves every position, since a sum that rounds to zero has a sign of its
+    own; an exact step moves particles ``0 ... ceil(n/2) - 1`` only, and a
+    right-half position is written as its image's negated where it is read:
+    the middle pair's right (even n) before each scan, every one in
+    ``settle``."""
 
     mirror = True
 
-    def __init__(self, xs: list, vs: list, t: Number, exact: bool) -> None:
-        self.exact = exact
-        super().__init__(xs, vs, t)
-
-    def advance(self, dt: Number, lefts: list) -> None:
-        xs, vs, n = self.xs, self.vs, len(self.xs)
-        if not self.exact:
-            xs[:] = [x + v * dt for x, v in zip(xs, vs)]
-            return
-        met = {i + 1 for i in lefts}
-        for k in range((n + 1) // 2):
-            if k not in met:
-                xs[k] = xs[k] + vs[k] * dt
-        if not n % 2:
-            xs[n // 2] = -xs[n // 2 - 1]
-
     def after(self, t: Number, lefts: list) -> _Selection:
-        n = len(self.xs)
-        selection = _select(_flights(self.xs, self.vs, pairs=range(n // 2)), t)
+        xs, n = self.xs, len(self.xs)
+        if self.exact and not n % 2:
+            xs[n // 2] = -xs[n // 2 - 1]
+        selection = _select(_flights(xs, self.vs, pairs=range(n // 2)), t)
         lefts = selection[2]
         for i in lefts[::-1]:  # each pair's image, the middle pair's aside
             if 2 * i + 2 != n:
@@ -514,7 +502,8 @@ def _scheduler(
 ):
     """The scheduler of a run of the particles ``ps`` from ``xs``, ``vs``
     at time ``t``, with carried (sigma, rho) ``lc`` if the run is exact,
-    else None: its first ``selection``, ``(dt, t_event, lefts)``;
+    else None, built as ``(xs, vs, t, exact)`` whatever its class: its
+    first ``selection``, ``(dt, t_event, lefts)``;
     ``advance(dt, lefts)``, which moves the run by the step ``dt`` to the
     collisions of the pairs at ``lefts`` (or to a time limit, with
     ``lefts`` empty); ``after(t, lefts)``, which makes the next selection
@@ -528,26 +517,28 @@ def _scheduler(
     A scan run whose start is parity-symmetric, each particle ``k`` the
     image of ``~k`` = ``n - 1 - k`` (x, v and P negated, the same E and
     mu, each in value and type), stays so, and computes one half of the
-    line (``_MirrorScan``).
+    line (``_MirrorScan``); any other scan run takes ``_Scan``, float or
+    exact.
     """
     exact = lc is not None
-    if len(xs) > _HEAP_MIN_PAIRS and (max_events is None or max_events > 1):
-        if exact:
-            return _PairQueue(xs, vs, t, exact=True)
-        if {*map(type, xs), *map(type, vs)} == {float} and (
-            type(t) is float or type(t) is int and abs(t) <= 2**53
-        ):
-            return _PairQueue(xs, vs, t, exact=False)
-    if len(xs) > 1 and all(
+    if (
+        len(xs) > _HEAP_MIN_PAIRS and (max_events is None or max_events > 1)
+        and (
+            exact
+            or {*map(type, xs), *map(type, vs)} == {float}
+            and (type(t) is float or type(t) is int and abs(t) <= 2**53)
+        )
+    ):
+        return _PairQueue(xs, vs, t, exact)
+    symmetric = len(xs) > 1 and all(
         a == b and type(a) is type(b)
         for k in range((len(xs) + 1) // 2)
         for a, b in zip(
             (xs[k], vs[k], ps[k].E, ps[k].P, ps[k].mu),
             (-xs[~k], -vs[~k], ps[~k].E, -ps[~k].P, ps[~k].mu),
         )
-    ):
-        return _MirrorScan(xs, vs, t, exact)
-    return _ExactScan(xs, vs, t) if exact else _Scan(xs, vs, t)
+    )
+    return (_MirrorScan if symmetric else _Scan)(xs, vs, t, exact)
 
 
 def next_collisions(
@@ -747,10 +738,11 @@ def simulate(
     ``t_limit`` the returned state sits exactly at the limit time; events
     strictly inside the interval are resolved, an event landing exactly on
     the limit is left unresolved (the state is its pre-collision
-    configuration). Identical inputs produce identical logs. Scheduler
-    errors are re-raised with the index of the offending event attached;
-    a float event time, collision point or returned position that is not
-    finite is a SimulationError.
+    configuration). Identical inputs produce identical logs. A float
+    ``t_limit`` must be finite, and ``max_events`` nonnegative
+    (ValidationError). Scheduler errors are re-raised with the index of
+    the offending event attached; a float event time, collision point or
+    returned position that is not finite is a SimulationError.
     """
     # The particles as last resolved, their positions (at time t once the
     # scheduler has moved them) and their velocities, with t and the
@@ -766,6 +758,9 @@ def simulate(
             f"max_events must be nonnegative, got {max_events!r}"
         )
     if t_limit is not None:
+        if isinstance(t_limit, float) and not math.isfinite(t_limit):
+            # inf and nan bound no run, either way
+            raise ValidationError(f"t_limit must be finite, got {t_limit!r}")
         t_limit = -t_limit if back else t_limit
         if t_limit < t:
             bound = "exceed" if back else "precede"

@@ -222,6 +222,18 @@ class TestParticleState:
                 p = rb.massless(E, d)
                 assert p.velocity == float(d)
                 assert p.mu == 0.0
+                assert repr(p.x) == "0.0"
+
+    def test_massless_factory_exact_position(self):
+        """An exact E puts the particle at an exact zero, so a state of
+        exact particles runs on the exact clock: its first event is at the
+        int 1, not at 1.0."""
+        p = rb.massless(Fraction(1), 1)
+        assert (p.x, type(p.x), p.mu, type(p.mu)) == (0, Fraction, 0, Fraction)
+        F = Fraction
+        q = rb.ParticleState(F(2), F(0), F(4), F(1), 1)
+        ((pair, t),) = rb.next_collisions(rb.BilliardState((p, q)))
+        assert (pair, t, type(t)) == ((0, 1), 1, Fraction)
 
     def test_moved(self):
         p = rb.ParticleState(2.0, 1.0, 3.0, 1.0)

@@ -216,6 +216,13 @@ SIGMAS = [2, *_pole_edge(), 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
 #: 2*E_total - mu/sigma1_0 = 0
 BACKWARD_ZERO = [(1, 1, 0.5), (5 / 4, 1, 5 / 8), (4, -1, -2)]
 
+#: Niven cycles through the pole. Both ways of (2, 1, 1) and (4/3, 1, 1)
+#: fail at the same step, where the forward pole comes first; the backward
+#: way of (4/3, 1, 2/3) fails at collision -1, before the forward one.
+NIVEN_POLE = [
+    (2, 1, 1), (Fraction(4, 3), 1, 1), (Fraction(4, 3), 1, Fraction(2, 3)),
+]
+
 #: parameters at the ends of the float range
 EXTREME = [
     (5e-324, 1, 1), (1e300, 1, 1), (1, 1e300, 1), (1, 5e-324, 1),
@@ -225,7 +232,7 @@ EXTREME = [
 
 def _inputs():
     grid = [(mu, e, s) for (mu, e), s in product(PARAMS, SIGMAS)]
-    return grid + BACKWARD_ZERO + EXTREME
+    return grid + BACKWARD_ZERO + NIVEN_POLE + EXTREME
 
 
 @pytest.mark.parametrize("mu, e_total, sigma1_0", _inputs())
@@ -358,3 +365,22 @@ def test_census_stops_on_a_fixed_point(monkeypatch):
     )
     assert 0 < forward <= 30
     assert 0 < Mu.divisions - forward <= 30
+
+
+def test_census_failing_behind_steps_ahead_no_further(monkeypatch):
+    """The exact orbit of mu = 5/4, E_total = 1 through sigma1_0 = 5/8
+    reaches sigma = 0 at collision -1: the census of 5000 steps raises
+    there, as the reference does, having stepped forward at most twice."""
+    forward = 0
+    check_pole = mirror._check_pole
+
+    def counting(*args):
+        nonlocal forward
+        forward += 1
+        return check_pole(*args)
+
+    monkeypatch.setattr(mirror, "_check_pole", counting)
+    params = rb.MirrorParams(Fraction(5, 4), Fraction(1))
+    with pytest.raises(PoleError, match=r"\(at collision index -1\)$"):
+        mirror.tachyonic_census(params, Fraction(5, 8), 5000)
+    assert 0 < forward <= 2

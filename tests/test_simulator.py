@@ -862,11 +862,6 @@ def _choosing(monkeypatch) -> list:
     return chosen
 
 
-def _full_scan(xs, vs, t, exact):
-    """The full scan, to be patched in for ``_MirrorScan``."""
-    return (simulator._ExactScan if exact else simulator._Scan)(xs, vs, t)
-
-
 class TestMirrorScan:
     """A scan run from a parity-symmetric start computes one half of the
     line and writes the other from it: it gives the full scan's state and
@@ -912,7 +907,7 @@ class TestMirrorScan:
             got = [_outcome(run) for run in runs]
         assert chosen[:3] == ["_MirrorScan"] * 3
         with monkeypatch.context() as patched:
-            patched.setattr(simulator, "_MirrorScan", _full_scan)
+            patched.setattr(simulator, "_MirrorScan", simulator._Scan)
             chosen = _choosing(patched)
             expected = [repr(_outcome(run)) for run in runs]
         assert "_MirrorScan" not in chosen
@@ -1015,8 +1010,8 @@ class TestMirrorScan:
             [(p.E, -p.P, 10**6 - p.x) for p in reversed(gas)],
         )
         cases = [
-            (heavier, "_ExactScan"), (int_mu, "_ExactScan"),
-            (ints, "_ExactScan"), (int_x, "_Scan"), (ulp_off, "_Scan"),
+            (heavier, "_Scan"), (int_mu, "_Scan"), (ints, "_Scan"),
+            (int_x, "_Scan"), (ulp_off, "_Scan"),
             (float_mirror, "_MirrorScan"), (gas, "_PairQueue"),
         ]
         for start, name in cases:
@@ -1032,7 +1027,7 @@ class TestMirrorScan:
                 if name != "_MirrorScan":
                     patched.setattr(simulator, "_MirrorScan", None)
                 else:
-                    patched.setattr(simulator, "_MirrorScan", _full_scan)
+                    patched.setattr(simulator, "_MirrorScan", simulator._Scan)
                 assert [repr(_outcome(run)) for run in runs] == got
             assert isinstance(_outcome(runs[0])[1], list), name  # no error
 
@@ -1045,7 +1040,7 @@ class TestMirrorScan:
             assert rb.simulate(
                 rb.BilliardState(particles, F(0)), t_limit=F(1)
             ) == (rb.BilliardState(particles, F(1)), [])
-        assert chosen == ["_ExactScan"] * 2
+        assert chosen == ["_Scan"] * 2
 
 
 def _time_reversed(value):
@@ -1196,6 +1191,24 @@ class TestValidationErrors:
             with pytest.raises(rb.ValidationError):
                 call()
         assert issubclass(rb.ValidationError, (rb.BilliardError, ValueError))
+
+    @pytest.mark.parametrize("t_limit", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("max_events", [None, 5])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_time_limit_not_finite(self, t_limit, max_events, direction):
+        """A float time limit that is not finite bounds no run: it is
+        refused on entry, in either direction, with an event budget or
+        without, for the exact three-cycle as for the float mirror (whose
+        run would otherwise go on until its mass drifts)."""
+        F = Fraction
+        for data in (F(4), F(1), F(1, 2), F(-1)), (4.005, 1.0, 1.0, -1.0):
+            start = rb.billiard_from_mirror(*rb.mirror_initial(*data))
+            with pytest.raises(
+                rb.ValidationError, match=r"^t_limit must be finite, got "
+            ):
+                rb.simulate(
+                    start, direction, max_events=max_events, t_limit=t_limit
+                )
 
     @pytest.mark.parametrize("heap_min_pairs", [1, 10**9])
     def test_order_violation_inside_simulate(
