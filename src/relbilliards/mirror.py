@@ -47,6 +47,7 @@ from .kinematics import ParticleState, massless, unchecked_constructor
 from .numeric import (
     REL_TOL,
     Number,
+    is_count,
     is_exact,
     near_zero,
     rel_diff,
@@ -367,18 +368,18 @@ def reduced_trajectory(
     ahead, accumulating collision times via tau = -x1 - x1_next.
 
     The returned list is ordered by collision index. Raises
-    ValidationError for a negative count; ConfigError if the initial state
-    breaks the energy split; PoleError, with the collision index, where
-    the forward orbit reaches the map's pole or sigma1 = 0, or the
-    backward one reaches sigma = 0; and SimulationError, with the
-    collision index, where a float sigma1 squares to zero, a float x1, E2
-    or t leaves the float range, x1 underflows to zero, or, going back, E2
-    underflows to zero.
+    ValidationError for a count that is not a nonnegative int; ConfigError
+    if the initial state breaks the energy split; PoleError, with the
+    collision index, where the forward orbit reaches the map's pole or
+    sigma1 = 0, or the backward one reaches sigma = 0; and
+    SimulationError, with the collision index, where a float sigma1
+    squares to zero, a float x1, E2 or t leaves the float range, x1
+    underflows to zero, or, going back, E2 underflows to zero.
     """
-    if n_forward < 0 or n_backward < 0:
+    if not (is_count(n_forward) and is_count(n_backward)):
         raise ValidationError(
-            f"step counts must be nonnegative, got n_forward={n_forward!r}, "
-            f"n_backward={n_backward!r}"
+            "step counts must be nonnegative integers, got "
+            f"n_forward={n_forward!r}, n_backward={n_backward!r}"
         )
     res = initial.E2 - e2_from_sigma(initial.sigma1, params)
     if not near_zero(res, initial.E2, initial.sigma1 / 2, params.E_total):
@@ -536,38 +537,36 @@ def tachyonic_census(
 
     Returns (count, consecutive) where ``consecutive`` reports whether the
     hits form one run of adjacent collision indices. Raises ValidationError
-    for a negative ``steps``; ConfigError for sigma1_0 = 0, where the
-    inverse map has its pole, as ``mirror_initial`` does; PoleError,
-    with the collision index of the sigma at the pole, where the forward
-    orbit reaches the reduced map's pole or the backward one reaches
-    sigma = 0; and SimulationError, with the collision index, where a
-    float sigma overflows.
+    for a ``steps`` that is not a nonnegative int; ConfigError for
+    sigma1_0 = 0, where the inverse map has its pole, as ``mirror_initial``
+    does; PoleError, with the collision index of the sigma at the pole,
+    where the forward orbit reaches the reduced map's pole or the backward
+    one reaches sigma = 0; and SimulationError, with the collision index,
+    where a float sigma overflows.
 
     A step that returns the sigma it started from, in value and type, is
     a fixed point's: every later step that way repeats it, with the same
-    pole test and predicate, so the census stops stepping that way and
-    adds the rest of its hits at once. A float orbit that converges may
-    land so on a fixed point; an exact one does only if it starts on one.
-    The two ways are stepped in turn, forward first, until both have
-    stopped or reached ``steps``, so the error raised is the one met first
-    when both are stepped to the end: within a step, a forward pole, a
-    backward pole, a forward overflow, a backward overflow.
+    pole test and predicate, so the census stops stepping that way. A
+    fixed point is never a hit: s*(2*E_total - s) = mu > 0 there, and a
+    float step that returns s keeps s*(s - 2*E_total) <= 0, as s takes the
+    sign of 2*E_total - s forward and lies on the origin's side of
+    2*E_total backward. So only a step that is no hit is compared with its
+    start. A float orbit that converges may land so on a fixed point; an
+    exact one does only if it starts on one. The two ways are stepped in
+    turn, forward first, until both have stopped or reached ``steps``, so
+    the error raised is the one met first when both are stepped to the
+    end: within a step, a forward pole, a backward pole, a forward
+    overflow, a backward overflow.
     """
-    if steps < 0:
-        raise ValidationError(f"steps must be nonnegative, got {steps!r}")
+    if not is_count(steps):
+        raise ValidationError(
+            f"steps must be a nonnegative integer, got {steps!r}"
+        )
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")
     two_e, mu = 2 * params.E_total, params.mu
     hits = [0] if tachyonic_predicate(sigma1_0, params) else []
     ahead = behind = sigma1_0
-    # Each step is compared with the sigma it started from, unless the
-    # orbit is exact (a Fraction and no float among mu, 2*E_total and
-    # sigma1_0) and does not start on a fixed point: it never stands still.
-    types = {type(mu), type(two_e), type(sigma1_0)}
-    watch = (
-        float in types or Fraction not in types
-        or sigma1_0 * (two_e - sigma1_0) == mu
-    )
     forward = backward = True  # whether each way is still stepped
     # one step each way, with the predicate of tachyonic_predicate and the
     # formula of inverse_map written out; a zero behind is the inverse's
@@ -593,35 +592,21 @@ def tachyonic_census(
                     f"(at collision index {1 - n})"
                 ) from None
         if forward:
-            ahead_hit = ahead * (ahead - two_e) > 0
-            if ahead_hit:
+            if ahead * (ahead - two_e) > 0:
                 if ahead in _INFINITIES:
                     raise _overflow(ahead, n)
                 hits.append(n)
+            elif ahead == last_ahead and type(ahead) is type(last_ahead):
+                forward = False
         if backward:
-            behind_hit = behind * (behind - two_e) > 0
-            if behind_hit:
+            if behind * (behind - two_e) > 0:
                 if behind in _INFINITIES:
                     raise _overflow(behind, -n)
                 hits.append(-n)
-        if watch:
-            # A way that stands still raises no error from here on.
-            if (
-                forward and ahead == last_ahead
-                and type(ahead) is type(last_ahead)
-            ):
-                forward = False
-                if ahead_hit:
-                    hits.extend(range(n + 1, steps + 1))
-            if (
-                backward and behind == last_behind
-                and type(behind) is type(last_behind)
-            ):
+            elif behind == last_behind and type(behind) is type(last_behind):
                 backward = False
-                if behind_hit:
-                    hits.extend(range(-n - 1, -steps - 1, -1))
-            if not (forward or backward):
-                break
+        if not (forward or backward):
+            break
     hits.sort()
     consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
     return len(hits), consecutive
@@ -840,8 +825,9 @@ def cross_check(
     tol: float = 1e-9,
 ) -> CrossCheckReport:
     """Run the four-particle simulation against the reduced map and compare
-    (sigma1, E2, x1, t) at every collision of the leftmost pair; a
-    negative ``n_collisions`` is reduced_trajectory's ValidationError."""
+    (sigma1, E2, x1, t) at every collision of the leftmost pair; an
+    ``n_collisions`` that is not a nonnegative int is reduced_trajectory's
+    ValidationError."""
     oracle = reduced_trajectory(params, state0, n_collisions)[1:]
     billiard = billiard_from_mirror(params, state0)
     # each reduced collision costs three events: the inner-pair swap plus

@@ -55,6 +55,11 @@ ARITHMETICS = ("float", "rational")
 REL_TOL = 1e-12
 
 
+def is_count(value: object) -> bool:
+    """True for a nonnegative int; a bool is not a count."""
+    return type(value) is not bool and isinstance(value, int) and value >= 0
+
+
 def is_exact(value: Number) -> bool:
     """True for number types that support exact comparison (int, Fraction)."""
     if type(value) is float:

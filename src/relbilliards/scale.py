@@ -11,7 +11,9 @@ energy signs flip.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+import math
+
+from .errors import ConfigError, SimulationError
 
 #: Newton's gravitational constant in metres per kilogram (c = 1 units).
 GRAVITY_M_PER_KG = 7.4e-28
@@ -23,9 +25,16 @@ NEUTRON_MASS_KG = 1.7e-27
 def estimate_tachyonic_scale(
     mass_kg: float, g: float = GRAVITY_M_PER_KG
 ) -> float:
-    """Length scale 2*G*m (metres) below which collisions turn tachyonic."""
+    """Length scale 2*G*m (metres) below which collisions turn tachyonic;
+    a SimulationError where it leaves the float range or rounds to zero."""
     if not mass_kg > 0:
         raise ConfigError("mass must be positive")
     if not g > 0:
         raise ConfigError("gravitational constant must be positive")
-    return 2 * g * mass_kg
+    bound = 2 * g * mass_kg
+    if not math.isfinite(bound) or bound == 0:
+        what = "underflow" if bound == 0 else "overflow"
+        raise SimulationError(
+            f"float {what}: 2*G*m = {bound!r} at G = {g!r}, m = {mass_kg!r}"
+        )
+    return bound

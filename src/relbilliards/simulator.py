@@ -69,7 +69,9 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import ParticleState, unchecked_constructor
-from .numeric import REL_TOL, Number, is_exact, near_zero, repr_number
+from .numeric import (
+    REL_TOL, Number, is_count, is_exact, near_zero, repr_number,
+)
 
 Direction = Literal["forward", "backward"]
 
@@ -224,13 +226,6 @@ def _select(cands: list[tuple[int, Number]], t: Number) -> _Selection:
     ]
 
 
-def _earliest(xs: list, vs: list, t: Number) -> _Selection:
-    """The step to the earliest intersection after time ``t``, its time and
-    the left indices of the adjacent pairs achieving it, as ``_select``
-    gives them, from a scan of every pair."""
-    return _select(_flights(xs, vs), t)
-
-
 #: Runs with fewer adjacent pairs scan all of them at every event: below
 #: this count the heap's bookkeeping costs more than the scan it saves. Per
 #: event over 400 events of the seed-7 bradyon gas (Python 3.11, one CPU of
@@ -247,11 +242,12 @@ _EPS = sys.float_info.epsilon
 
 
 class _Scan:
-    """Event selection by a scan of every pair (``_earliest``) at every
-    event. A float step moves every position, since the scan reads them
-    all. An exact step moves every particle but the right one of each pair
-    of the selection: that pair meets at one point, exactly, and
-    ``_resolve`` gives the right particle the left one's position."""
+    """Event selection by a scan of every pair (``_flights`` and
+    ``_select``) at every event. A float step moves every position, since
+    the scan reads them all. An exact step moves every particle but the
+    right one of each pair of the selection: that pair meets at one point,
+    exactly, and ``_resolve`` gives the right particle the left one's
+    position."""
 
     mirror = False  # whether ``_resolve`` writes image pairs (_MirrorScan)
 
@@ -273,7 +269,7 @@ class _Scan:
                 xs[k] = xs[k] + vs[k] * dt
 
     def after(self, t: Number, lefts: list) -> _Selection:
-        return _earliest(self.xs, self.vs, t)
+        return _select(_flights(self.xs, self.vs), t)
 
     def settle(self) -> None:
         pass
@@ -311,7 +307,7 @@ class _MirrorScan(_Scan):
 
 class _PairQueue:
     """Event selection from a binary heap of adjacent-pair meeting times,
-    with the result of ``_earliest`` over all pairs (Lubachevsky, J.
+    with the result of a scan of all pairs (Lubachevsky, J.
     Comput. Phys. 94, 1991).
 
     After an event only the pairs next to a resolved pair are refreshed
@@ -552,7 +548,7 @@ def next_collisions(
     ``simulate``.
     """
     back, t, _, xs, vs = _frame(state, direction)
-    _, t_event, lefts = _earliest(xs, vs, t)
+    _, t_event, lefts = _select(_flights(xs, vs), t)
     if lefts:
         _finite(t_event, "event time")
     return [((i, i + 1), -t_event if back else t_event) for i in lefts]
@@ -610,11 +606,13 @@ def _resolve(
     from its image ``i``: E kept, x, P and v negated, the sign flips
     swapped, and in an exact run (sigma, rho) exchanged. Any check on it
     would repeat one that its image passed, on bit-identical operands.
-    Float zeros are written as recomputing gives them: a P or v of zero
-    keeps its image's sign, since recomputing gives P = (sigma - rho)/2 =
-    0.0 to both in the run's frame, and v = P/E with the same E; a meeting
-    point of zero is the midpoint of the pair's positions, whose sign the
-    image's does not fix (its rounding may differ).
+    Zeros are written as recomputing gives them: a P or v of zero is its
+    image's, not negated, in either kind of run. A float zero keeps its
+    sign, since recomputing gives P = (sigma - rho)/2 = 0.0 to both in the
+    run's frame, and v = P/E with the same E; an exact zero is its own
+    negation. A float meeting point of zero is the midpoint of the pair's
+    positions, whose sign the image's does not fix (its rounding may
+    differ).
     """
     _check_disjoint(lefts)
 
@@ -692,11 +690,9 @@ def _resolve(
         p, q, a, b = ps[k], ps[m], ps[j], ps[i]  # a, b: k's, m's mirrors
         x_e = event.x
         x_e = -x_e if x_e or type(x_e) is not float else (xs[k] + xs[m]) / 2
-        if lc is None:
-            P_k, P_m = -a.P if a.P else a.P, -b.P if b.P else b.P
-            v_k, v_m = -vs[j] if vs[j] else vs[j], -vs[i] if vs[i] else vs[i]
-        else:
-            P_k, P_m, v_k, v_m = -a.P, -b.P, -vs[j], -vs[i]
+        P_k, P_m = -a.P if a.P else a.P, -b.P if b.P else b.P
+        v_k, v_m = -vs[j] if vs[j] else vs[j], -vs[i] if vs[i] else vs[i]
+        if lc is not None:
             lc[k], lc[m] = lc[j][::-1], lc[i][::-1]
         post_k = ParticleState._unchecked(a.E, P_k, p.mu, x_e, p.label)
         post_m = ParticleState._unchecked(b.E, P_m, q.mu, x_e, q.label)
@@ -739,7 +735,7 @@ def simulate(
     strictly inside the interval are resolved, an event landing exactly on
     the limit is left unresolved (the state is its pre-collision
     configuration). Identical inputs produce identical logs. A float
-    ``t_limit`` must be finite, and ``max_events`` nonnegative
+    ``t_limit`` must be finite, and ``max_events`` a nonnegative int
     (ValidationError). Scheduler errors are re-raised with the index of
     the offending event attached; a float event time, collision point or
     returned position that is not finite is a SimulationError.
@@ -753,9 +749,9 @@ def simulate(
         raise ValidationError(
             "need max_events and/or t_limit to bound the run"
         )
-    if max_events is not None and max_events < 0:
+    if max_events is not None and not is_count(max_events):
         raise ValidationError(
-            f"max_events must be nonnegative, got {max_events!r}"
+            f"max_events must be a nonnegative integer, got {max_events!r}"
         )
     if t_limit is not None:
         if isinstance(t_limit, float) and not math.isfinite(t_limit):

@@ -1091,6 +1091,31 @@ class TestEstimateCommand:
             "error: gravitational constant must be positive\n"
         )
 
+    @pytest.mark.parametrize(
+        "mass, gravity, message",
+        [
+            (
+                "1e308", "1e300",
+                "float overflow: 2*G*m = inf at G = 1e+300, m = 1e+308",
+            ),
+            (
+                "5e-324", "1e-300",
+                "float underflow: 2*G*m = 0.0 at G = 1e-300, m = 5e-324",
+            ),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_bound_past_the_float_range(self, capsys, mass, gravity, message):
+        """A bound 2*G*m that is not finite, or rounds to zero, is a
+        SimulationError that names the product, and exits 2 with no
+        output."""
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(rb.SimulationError, match=match):
+            rb.estimate_tachyonic_scale(float(mass), float(gravity))
+        argv = ["estimate", "--mass", mass, "--gravity", gravity]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 _DEGENERACIES = {
     "DegenerateCollisionError", "TripleCollisionError", "PoleError",

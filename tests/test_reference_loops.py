@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import relbilliards as rb
@@ -339,10 +339,11 @@ def test_stationary_orbits_same_as_reference(mu, e_total, sigma1_0):
 
 
 def test_census_stops_on_a_fixed_point(monkeypatch):
-    """The orbit of mu = 0.25, E_total = 1 through sigma1_0 = 3 stands on
-    a fixed point, bit for bit, within 30 steps each way, and the census
-    of 1000 steps takes no more: the forward steps counted as pole tests,
-    the backward ones as the divisions of mu left over."""
+    """The float orbit of mu = 0.25, E_total = 1 through sigma1_0 = 3
+    stands on a fixed point, bit for bit, within 30 steps each way, and
+    the exact fixed point 3/2 of mu = 3/4 after one step each way; the
+    census of 1000 steps takes no more: the forward steps counted as pole
+    tests, the backward ones as the divisions of mu left over."""
     forward = 0
     check_pole = mirror._check_pole
 
@@ -351,20 +352,65 @@ def test_census_stops_on_a_fixed_point(monkeypatch):
         forward += 1
         return check_pole(*args)
 
-    class Mu(float):
-        divisions = 0
-
-        def __truediv__(self, other):
-            Mu.divisions += 1
-            return float.__truediv__(self, other)
-
     monkeypatch.setattr(mirror, "_check_pole", counting)
-    params = rb.MirrorParams(Mu(0.25), 1.0)
-    assert mirror.tachyonic_census(params, 3.0, 1000) == reference_census(
-        rb.MirrorParams(0.25, 1.0), 3.0, 1000
-    )
-    assert 0 < forward <= 30
-    assert 0 < Mu.divisions - forward <= 30
+    F = Fraction
+    for num, mu, e_total, sigma1_0, most in [
+        (float, 0.25, 1.0, 3.0, 30),
+        (Fraction, F(3, 4), F(1), F(3, 2), 1),
+    ]:
+        class Mu(num):
+            divisions = 0
+
+            def __truediv__(self, other):
+                Mu.divisions += 1
+                return num.__truediv__(self, other)
+
+        forward = 0
+        params = rb.MirrorParams(Mu(mu), e_total)
+        got = mirror.tachyonic_census(params, sigma1_0, 1000)
+        assert got == reference_census(
+            rb.MirrorParams(mu, e_total), sigma1_0, 1000
+        )
+        assert 0 < forward <= most
+        assert 0 < Mu.divisions - forward <= most
+
+
+@given(
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+)
+def test_no_fixed_point_is_a_hit(e, share, negative):
+    """Wherever the census's forward or backward step returns its float
+    input bit for bit, at a fixed point of mu = share*E_total**2 > 0 (delta
+    >= 0, either sign of E_total) as ``_fixed_pair`` computes it or up to 4
+    ulps from it, the tachyonic predicate is false there: the census,
+    which stops such a way, leaves no hit uncounted."""
+    mu = share * e * e
+    e_total = -e if negative else e
+    assume(mu > 0)
+    params = rb.MirrorParams(mu, e_total)
+    assume(params.delta >= 0)
+    two_e = 2 * e_total
+    for root in mirror._fixed_pair(params):
+        around = [root.real]
+        for toward in -math.inf, math.inf:
+            s = root.real
+            for _ in range(4):
+                s = math.nextafter(s, toward)
+                around.append(s)
+        for s in around:
+            steps = []
+            try:
+                steps.append(mu / mirror._check_pole(s, two_e))
+            except PoleError:
+                pass
+            try:
+                steps.append(two_e - mu / s)
+            except ZeroDivisionError:
+                pass
+            if any(out.hex() == s.hex() for out in steps):
+                assert not s * (s - two_e) > 0, (mu, e_total, s)
 
 
 def test_census_failing_behind_steps_ahead_no_further(monkeypatch):

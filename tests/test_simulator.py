@@ -956,15 +956,24 @@ class TestMirrorScan:
             lambda: rb.billiard_from_mirror(
                 *rb.mirror_initial(4.005, 1.0, 1.0, -1.0)
             ),
+            # Exact: the equal-mass exchange of pair (0, 1) leaves particle
+            # 0 at rest, and its image, particle 3, with P = Fraction(0).
+            lambda: _from_halves(
+                [(Fraction(5, 4), Fraction(3, 4), Fraction(-3)),
+                 (Fraction(1), Fraction(0), Fraction(-1))],
+                [(Fraction(1), Fraction(0), Fraction(1)),
+                 (Fraction(5, 4), Fraction(-3, 4), Fraction(3))],
+            ),
         ],
         ids=[
-            "at-rest", "at-rest-at-0", "origin", "subnormal", "float-mu4.005"
+            "at-rest", "at-rest-at-0", "origin", "subnormal", "float-mu4.005",
+            "exact-at-rest",
         ],
     )
     def test_float_zeros_same_as_the_full_scan(self, start, monkeypatch):
-        """Float starts whose runs make zeros of either sign, run from the
-        start and from its time-reversed image, with event budgets of 3 to
-        10."""
+        """Float starts whose runs make zeros of either sign, and an exact
+        one whose images come to rest at an exact zero, run from the start
+        and from its time-reversed image, with event budgets of 3 to 10."""
         start = start()
         for run_start in start, _time_reversed(start):
             for seed in range(6):
@@ -1190,6 +1199,20 @@ class TestValidationErrors:
         for call in calls:
             with pytest.raises(rb.ValidationError):
                 call()
+        # A count that is not an int, a bool included, fails as a negative
+        # one does, rather than with a TypeError or a run of its own length.
+        for count in 2.5, True, Fraction(3), -1:
+            for call in [
+                lambda: rb.simulate(s, max_events=count),
+                lambda: rb.reduced_trajectory(*mirror_data, count),
+                lambda: rb.reduced_trajectory(*mirror_data, 3, count),
+                lambda: mirror.tachyonic_census(mirror_data[0], 0.3, count),
+                lambda: mirror.cross_check(*mirror_data, count),
+            ]:
+                with pytest.raises(
+                    rb.ValidationError, match="must be (a )?nonnegative int"
+                ):
+                    call()
         assert issubclass(rb.ValidationError, (rb.BilliardError, ValueError))
 
     @pytest.mark.parametrize("t_limit", [math.inf, -math.inf, math.nan])
