@@ -536,13 +536,16 @@ def tachyonic_census(
     """Count tachyonic collisions over the orbit window [-steps, steps].
 
     Returns (count, consecutive) where ``consecutive`` reports whether the
-    hits form one run of adjacent collision indices. Raises ValidationError
-    for a ``steps`` that is not a nonnegative int; ConfigError for
-    sigma1_0 = 0, where the inverse map has its pole, as ``mirror_initial``
-    does; PoleError, with the collision index of the sigma at the pole,
-    where the forward orbit reaches the reduced map's pole or the backward
-    one reaches sigma = 0; and SimulationError, with the collision index,
-    where a float sigma overflows.
+    hits form one run of adjacent collision indices. A hit at step n of
+    either way opens a run unless that way's last hit was at step n - 1;
+    a hit at collision 0 is both ways' hit at step 0, so their runs join
+    there. Raises ValidationError for a ``steps`` that is not a
+    nonnegative int; ConfigError for sigma1_0 = 0, where the inverse map
+    has its pole, as ``mirror_initial`` does; PoleError, with the
+    collision index of the sigma at the pole, where the forward orbit
+    reaches the reduced map's pole or the backward one reaches sigma = 0;
+    and SimulationError, with the collision index, where a float sigma
+    overflows.
 
     A step that returns the sigma it started from, in value and type, is
     a fixed point's: every later step that way repeats it, with the same
@@ -565,7 +568,8 @@ def tachyonic_census(
     if sigma1_0 == 0:
         raise ConfigError("sigma1 must be nonzero")
     two_e, mu = 2 * params.E_total, params.mu
-    hits = [0] if tachyonic_predicate(sigma1_0, params) else []
+    hits = runs = int(tachyonic_predicate(sigma1_0, params))
+    ahead_hit = behind_hit = hits - 1  # each way's last hit, as a step
     ahead = behind = sigma1_0
     forward = backward = True  # whether each way is still stepped
     # one step each way, with the predicate of tachyonic_predicate and the
@@ -595,21 +599,25 @@ def tachyonic_census(
             if ahead * (ahead - two_e) > 0:
                 if ahead in _INFINITIES:
                     raise _overflow(ahead, n)
-                hits.append(n)
+                hits += 1
+                if ahead_hit != n - 1:
+                    runs += 1
+                ahead_hit = n
             elif ahead == last_ahead and type(ahead) is type(last_ahead):
                 forward = False
         if backward:
             if behind * (behind - two_e) > 0:
                 if behind in _INFINITIES:
                     raise _overflow(behind, -n)
-                hits.append(-n)
+                hits += 1
+                if behind_hit != n - 1:
+                    runs += 1
+                behind_hit = n
             elif behind == last_behind and type(behind) is type(last_behind):
                 backward = False
         if not (forward or backward):
             break
-    hits.sort()
-    consecutive = all(b - a == 1 for a, b in zip(hits, hits[1:]))
-    return len(hits), consecutive
+    return hits, runs <= 1
 
 
 def _overflow(sigma: float, n: int) -> SimulationError:

@@ -1019,14 +1019,19 @@ class TestTachyonScanCommand:
 
     def test_census_agrees_with_the_classification(self, capsys):
         """On a 5 x 2 x 5 grid of both energy signs, every census agrees
-        with the classification."""
-        assert main([
-            "tachyon-scan", "--mu", "0.25,0.5,1,2,4", "--e-total=-1,1",
-            "--sigma1=-3,-0.7,0.3,1.3,3", "--steps", "1000",
-        ]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1 + 50 + 1
-        assert lines[-1] == "0 disagreement(s)"
+        with the classification, and so it does over a million steps each
+        way of orbits that settle on a fixed point, where it stops."""
+        for mu, e_total, sigma1, steps, points in (
+            ("0.25,0.5,1,2,4", "-1,1", "-3,-0.7,0.3,1.3,3", "1000", 50),
+            ("0.25,0.5", "-1,1", "-3,0.3,3", "1000000", 12),
+        ):
+            assert main([
+                "tachyon-scan", "--mu", mu, f"--e-total={e_total}",
+                f"--sigma1={sigma1}", "--steps", steps,
+            ]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 + points + 1
+            assert lines[-1] == "0 disagreement(s)"
 
     def test_empty_grid_rejected(self):
         assert main([

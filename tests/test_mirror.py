@@ -667,14 +667,16 @@ class TestOracleEquivalence:
             assert report.passed, (mu, e, sig, report.max_dev)
 
     def test_rational_mode_agrees_exactly(self):
+        """Both runs take the exact half-line scan, the second over 200
+        collisions."""
         from relbilliards.mirror import cross_check
 
-        params, s0 = rb.mirror_initial(
-            Fraction(4), Fraction(1), Fraction(1), Fraction(-1), t0=Fraction(0)
-        )
-        report = cross_check(params, s0, 30, tol=0.0)
-        assert report.passed
-        assert all(v == 0.0 for v in report.max_dev.values())
+        F = Fraction
+        for mu, sigma1, n in ((F(4), F(1), 30), (F(5, 4), F(1, 3), 200)):
+            params, s0 = rb.mirror_initial(mu, F(1), sigma1, F(-1), t0=F(0))
+            report = cross_check(params, s0, n, tol=0.0)
+            assert report.passed, mu
+            assert all(v == 0.0 for v in report.max_dev.values()), mu
 
 
 class TestLogWalk:

@@ -11,6 +11,7 @@ for bit, and raise the same kind of error.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -411,6 +412,22 @@ def test_no_fixed_point_is_a_hit(e, share, negative):
                 pass
             if any(out.hex() == s.hex() for out in steps):
                 assert not s * (s - two_e) > 0, (mu, e_total, s)
+
+
+def test_census_memory_does_not_grow_with_the_hits():
+    """mu = 4, E_total = 1 has delta < 0: two in three collisions through
+    sigma1_0 = 0.3 are tachyonic, 266,668 of them within 200,000 steps
+    each way. The census counts them without keeping them, so its traced
+    peak stays under 1 MB; a list of their indices would take over 10."""
+    params = rb.MirrorParams(4.0, 1.0)
+    tracemalloc.start()
+    try:
+        got = mirror.tachyonic_census(params, 0.3, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (266668, False)
+    assert peak < 1_000_000
 
 
 def test_census_failing_behind_steps_ahead_no_further(monkeypatch):
